@@ -4,11 +4,14 @@ The propagator is a 4th-order commutator-free scheme: per step two
 exponentials exp(-i h (w1 H(t1) + w2 H(t2))) at the Gauss-Legendre nodes
 t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Because H depends linearly on (omega,
 delta), each exponent is exactly H at an effective parameter pair, and
-its action is evaluated by a Lanczos Krylov approximation with
-reorthogonalization.  Steps are accepted by step-doubling (Richardson)
-error control; a run is reported only after halving the step cap
-reproduces the final ground-state population to the convergence
-tolerance.
+its action is the Krylov exponential of ``_expm_lanczos``, whose basis
+grows by the same block-CGS2 step (``krylov.extend``) as the
+eigensolver's.  Steps are accepted by step-doubling (Richardson) error
+control; a run is reported only after halving the step cap reproduces
+the final ground-state population to the convergence tolerance.  The
+ground population at each output time comes from
+``spectrum.eigenpairs_lowest2``, warm-started from the ground vector of
+the previous output time.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import ConvergenceError
 from .geometry import BlockadeGraph
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble, hamiltonian_time_derivative
 from .isets import count_isets, mis_projector_support
+from .krylov import extend
 from .schedule import PulseSchedule
 from .spectrum import GapProfile, eigenpairs_lowest2
 
@@ -73,45 +77,35 @@ class EvolveOptions:
 def _expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> np.ndarray:
     """exp(-i tau A) v for Hermitian A via a Lanczos Krylov subspace.
 
-    Falls back to two half-interval applications if m_max is reached
-    before the residual estimate drops below tol.
+    The basis grows by ``krylov.extend`` until the residual estimate
+    drops below tol.  Falls back to two half-interval applications if
+    m_max vectors are reached first.
     """
     beta0 = np.linalg.norm(v)
     if beta0 == 0.0:
         return v.copy()
-    basis = [np.asarray(v, dtype=complex) / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    while True:
-        w = matvec(basis[-1])
-        alpha = float(np.real(np.vdot(basis[-1], w)))
-        w = w - alpha * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        # reorthogonalize twice against the whole basis
-        for _ in range(2):
-            for q in basis:
-                w = w - np.vdot(q, w) * q
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        m = len(alphas)
-        y = _expm_tridiag(alphas, betas, tau)
+    basis = np.empty((m_max, v.size), dtype=complex)
+    basis[0] = v / beta0
+    alphas = np.empty(m_max)
+    betas = np.empty(m_max)
+    for j in range(m_max):
+        c, w, beta = extend(matvec, basis, j)
+        alphas[j] = c[j].real
+        y = _expm_tridiag(alphas[: j + 1], betas[:j], tau)
         if beta < 1e-14 or beta * abs(y[-1]) * min(abs(tau), 1.0) < tol:
-            break
-        if m >= m_max:
-            half = _expm_lanczos(matvec, v, tau / 2.0, m_max, tol / 2.0)
-            return _expm_lanczos(matvec, half, tau / 2.0, m_max, tol / 2.0)
-        betas.append(beta)
-        basis.append(w / beta)
-    vmat = np.stack(basis, axis=1)
-    return beta0 * (vmat @ y)
+            return beta0 * (y @ basis[: j + 1])
+        if j + 1 < m_max:
+            betas[j] = beta
+            basis[j + 1] = w / beta
+    half = _expm_lanczos(matvec, v, tau / 2.0, m_max, tol / 2.0)
+    return _expm_lanczos(matvec, half, tau / 2.0, m_max, tol / 2.0)
 
 
-def _expm_tridiag(alphas: list[float], betas: list[float], tau: float) -> np.ndarray:
+def _expm_tridiag(alphas: np.ndarray, betas: np.ndarray, tau: float) -> np.ndarray:
     """First column of exp(-i tau T) for the Lanczos tridiagonal T."""
-    if len(alphas) == 1:
+    if alphas.size == 1:
         return np.array([np.exp(-1j * tau * alphas[0])])
-    vals, vecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[: len(alphas) - 1]))
+    vals, vecs = eigh_tridiagonal(alphas, betas)
     return vecs @ (np.exp(-1j * tau * vals) * vecs[0, :].conj())
 
 
@@ -170,15 +164,24 @@ def _propagate(
 
 
 def _ground_projection(
-    h: HamiltonianTerms, omega: float, delta: float, psi: np.ndarray, deg_tol: float
-) -> float:
-    """Population on the (possibly degenerate) instantaneous ground space."""
+    h: HamiltonianTerms,
+    omega: float,
+    delta: float,
+    psi: np.ndarray,
+    deg_tol: float,
+    warm: np.ndarray | None = None,
+) -> tuple[float, np.ndarray | None]:
+    """Population on the (possibly degenerate) instantaneous ground space.
+
+    Also returns the ground vector (None at omega = 0, where H is
+    diagonal) for the next call to warm-start from.
+    """
     if omega == 0.0:
         diag = delta * h.zdiag + h.udiag
         ground = diag <= diag.min() + deg_tol
-        return float(np.sum(np.abs(psi[ground]) ** 2))
-    _, _, v0, _ = eigenpairs_lowest2(assemble(h, omega, delta))
-    return float(abs(np.vdot(v0, psi)) ** 2)
+        return float(np.sum(np.abs(psi[ground]) ** 2)), None
+    _, _, v0, _ = eigenpairs_lowest2(assemble(h, omega, delta), v0=warm)
+    return float(abs(np.vdot(v0, psi)) ** 2), v0
 
 
 def evolve(
@@ -212,20 +215,21 @@ def evolve(
         p_e0 = np.empty(times.size)
         p_mis = np.empty(times.size)
         dt_hint = local_opts.max_step
+        ground = None  # ground vector at the previous output time
         for i, t_out in enumerate(times):
             if i > 0:
                 psi, dt_hint = _propagate(
                     h, sched, times[i - 1], t_out, psi, local_opts, dt_hint
                 )
             if record and local_opts.track_projections:
-                p_e0[i] = _ground_projection(
+                p_e0[i], ground = _ground_projection(
                     h, float(sched.omega(t_out)), float(sched.delta(t_out)),
-                    psi, local_opts.degeneracy_tol,
+                    psi, local_opts.degeneracy_tol, ground,
                 )
                 p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
-        final_p_e0 = _ground_projection(
+        final_p_e0, _ = _ground_projection(
             h, float(sched.omega(times[-1])), float(sched.delta(times[-1])),
-            psi, local_opts.degeneracy_tol,
+            psi, local_opts.degeneracy_tol, ground,
         )
         return times, psi, p_e0, p_mis, final_p_e0
 

@@ -1,0 +1,161 @@
+"""One Lanczos kernel: block-CGS2 extension of a row-major Krylov basis.
+
+``extend`` is the only place a Krylov basis grows.  It serves two solvers:
+
+- ``lowest_eigenpairs``, thick-restart Lanczos (Wu & Simon, SIAM J.
+  Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a Hermitian
+  operator, used by ``spectrum.eigenpairs_lowest2``;
+- ``dynamics._expm_lanczos``, the Krylov exponential exp(-i tau A) v
+  (Saad, SIAM J. Numer. Anal. 29, 1992).
+
+The basis is stored row by row (``basis[j]`` is the j-th vector), so
+each Gram-Schmidt pass is two matrix-vector products over the whole
+basis.  Two passes (CGS2) keep it orthonormal to working precision.
+"""
+
+from __future__ import annotations
+
+import logging
+from typing import Callable
+
+import numpy as np
+
+from .errors import ConvergenceError
+
+logger = logging.getLogger(__name__)
+
+MAX_BASIS = 20  # Lanczos vectors per restart cycle (ARPACK's ncv for k = 2)
+KEEP = 8  # lowest Ritz vectors kept at each restart
+RESIDUAL_TOL = 1e-10  # converged: ||A y - theta y|| <= RESIDUAL_TOL * max |theta|
+START_MIX = 1e-3  # weight of the random component mixed into a given start vector
+START_SEED = 20000  # seed of that component, so every solve is reproducible
+BREAKDOWN = 1e-12  # ||w|| / ||A v|| below which the Krylov space is invariant
+ROTATE_CHUNK = 8192  # columns rotated at a time when restarting
+
+
+def _orthogonalize(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Remove span(q) from w in place by two classical Gram-Schmidt passes.
+
+    Returns the summed coefficients q^H w of the two passes.
+    """
+    c = q.conj() @ w
+    w -= c @ q
+    d = q.conj() @ w
+    w -= d @ q
+    return c + d
+
+
+def extend(
+    matvec: Callable[[np.ndarray], np.ndarray], basis: np.ndarray, j: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One Lanczos step: A basis[j] orthogonalized against basis[:j+1].
+
+    Returns (c, w, beta): the projections c = basis[:j+1]^H A basis[j]
+    (c[j] is the Rayleigh quotient alpha_j), the remainder w and its
+    norm beta.  The caller stores w / beta as basis[j+1].
+    """
+    w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
+    c = _orthogonalize(basis[: j + 1], w)
+    return c, w, float(np.linalg.norm(w))
+
+
+def _start_vector(dim: int, v0: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+    """v0 / ||v0|| plus a fixed-seed random component of norm START_MIX.
+
+    The random part keeps the Krylov space from being trapped in an
+    invariant subspace that v0 happens to lie in (say, one block of a
+    block-diagonal matrix), which would miss every eigenvalue outside it.
+    """
+    noise = rng.standard_normal(dim)
+    noise /= np.linalg.norm(noise)
+    if v0 is None:
+        return noise
+    v0 = np.asarray(v0).ravel()
+    if v0.size != dim:
+        raise ValueError(f"v0 has {v0.size} entries, the matrix has dimension {dim}")
+    scale = np.linalg.norm(v0)
+    return noise if scale == 0.0 else v0 / scale + START_MIX * noise
+
+
+def _rotate(basis: np.ndarray, y: np.ndarray) -> None:
+    """basis[:k] = y^T basis[:n] in place, y of shape (n, k), column block by block."""
+    n, k = y.shape
+    for lo in range(0, basis.shape[1], ROTATE_CHUNK):
+        cols = slice(lo, lo + ROTATE_CHUNK)
+        basis[:k, cols] = y.T @ basis[:n, cols]
+
+
+def lowest_eigenpairs(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    dtype,
+    n_eig: int,
+    v0: np.ndarray | None = None,
+    max_matvecs: int = 20000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n_eig lowest eigenpairs of the Hermitian operator ``matvec``.
+
+    Thick-restart Lanczos: each cycle grows the basis to MAX_BASIS
+    vectors, then keeps the KEEP lowest Ritz vectors and the residual
+    vector, so the basis never holds more than MAX_BASIS + 1 vectors.
+    The projected matrix is then diagonal on the kept Ritz vectors plus
+    one arrow row coupling them to the residual vector.  A Ritz pair is
+    converged when its residual estimate beta |y_last| is at most
+    RESIDUAL_TOL times the largest Ritz value seen.  When the Krylov
+    space turns invariant before the basis spans the whole space, the
+    next vector is a random one orthogonal to the basis.
+
+    Returns (values, vectors) with the vectors as rows.  Raises
+    ConvergenceError when max_matvecs matvecs leave a pair unconverged.
+    """
+    if max_matvecs < 1:
+        raise ValueError("need max_matvecs >= 1")
+    rng = np.random.default_rng(START_SEED)
+    start = _start_vector(dim, v0, rng)
+    m = min(MAX_BASIS, dim)
+    basis = np.empty((m + 1, dim), dtype=np.result_type(dtype, start.dtype))
+    basis[0] = start / np.linalg.norm(start)
+    proj = np.zeros((m, m))  # real: alphas, betas and arrow couplings are real
+    k = matvecs = restarts = 0
+    anorm = 0.0
+    while True:
+        n = min(m, k + max_matvecs - matvecs)
+        beta = 0.0
+        for j in range(k, n):
+            c, w, beta = extend(matvec, basis, j)
+            matvecs += 1
+            proj[j, j] = c[j].real
+            if beta <= BREAKDOWN * np.hypot(np.linalg.norm(c), beta):
+                beta = 0.0
+                if j + 1 == dim:
+                    break
+                w = rng.standard_normal(dim).astype(basis.dtype)
+                _orthogonalize(basis[: j + 1], w)
+                w /= np.linalg.norm(w)
+            else:
+                w /= beta
+            if j + 1 < m:
+                proj[j + 1, j] = proj[j, j + 1] = beta
+            basis[j + 1] = w
+        theta, y = np.linalg.eigh(proj[:n, :n])
+        anorm = max(anorm, float(np.abs(theta).max()))
+        residual = float(beta * np.abs(y[n - 1, :n_eig]).max())
+        if n >= n_eig and residual <= RESIDUAL_TOL * anorm:
+            break
+        if matvecs >= max_matvecs:
+            raise ConvergenceError(
+                f"Lanczos did not converge in {matvecs} matvecs ({restarts} restarts): "
+                f"residual {residual:.3e} > {RESIDUAL_TOL * anorm:.3e}"
+            )
+        k = min(KEEP, n - 1)
+        _rotate(basis, y[:, :k])
+        basis[k] = basis[n]
+        proj[:] = 0.0
+        proj[:k, :k] = np.diag(theta[:k])
+        proj[k, :k] = proj[:k, k] = beta * y[n - 1, :k]
+        restarts += 1
+    logger.debug(
+        "Lanczos dim %d: %d matvecs, %d restarts, residual %.3e",
+        dim, matvecs, restarts, residual,
+    )
+    return theta[:n_eig], y[:, :n_eig].T @ basis[:n]

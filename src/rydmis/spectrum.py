@@ -1,7 +1,11 @@
 """Lowest eigenpairs along a schedule and the gap profile.
 
-scan_gap samples the sweep window uniformly, diagonalizes at each point
-and golden-section-refines the gap minimum below the sample resolution;
+Every eigensolve goes through ``eigenpairs_lowest2``: an exact sort of
+the diagonal when the matrix is diagonal, the thick-restart Lanczos of
+``krylov.lowest_eigenpairs`` otherwise.  scan_gap samples the sweep
+window uniformly, warm-starting each solve from the previous sample's
+two eigenvectors, and golden-section-refines the gap minimum below the
+sample resolution, warm-starting each probe from the nearest sample;
 the refined point is inserted into the profile so downstream consumers
 (schedule synthesis, two-level reduction) see the true minimum.
 """
@@ -12,16 +16,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy import sparse
 
 from .errors import ConvergenceError
+from .krylov import lowest_eigenpairs
 
 if TYPE_CHECKING:
     from .hamiltonian import BasisSet, HamiltonianTerms
     from .schedule import PulseSchedule
 
-DENSE_EIG_THRESHOLD = 4096
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -60,17 +63,6 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec if pivot > 0 else -vec
 
 
-def _shift_below_spectrum(matrix) -> float:
-    """Strict lower bound on the spectrum, clear of it by max(1, ||H||_inf).
-
-    Gershgorin: every eigenvalue lies above min_i (H_ii - sum_{j!=i} |H_ij|).
-    """
-    diag = np.real(matrix.diagonal())
-    abs_rows = np.asarray(abs(matrix).sum(axis=1)).ravel()
-    gershgorin_min = float(np.min(2.0 * diag - abs_rows))
-    return gershgorin_min - max(1.0, float(abs_rows.max()))
-
-
 def eigenpairs_lowest2(
     matrix,
     maxiter: int = 20000,
@@ -78,34 +70,37 @@ def eigenpairs_lowest2(
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Two smallest eigenvalues with orthonormal, phase-fixed vectors.
 
-    Dense LAPACK below DENSE_EIG_THRESHOLD, restarted-Lanczos ARPACK
-    above (v0 warm-starts the iteration).  ARPACK runs on H - sigma*I,
-    with sigma a Gershgorin lower bound minus a margin, and sigma is
-    added back: on a spectrum that contains 0, eigsh(which="SA") skips
-    the exact-zero eigenvalue and returns the next two.  The shift
-    leaves the Krylov spaces, and so the convergence, unchanged, and the
-    LinearOperator keeps no shifted copy of H.
+    The matrix is Hermitian, sparse or dense.  A diagonal matrix is
+    sorted exactly (stable sort, unit vectors), so a repeated lowest
+    diagonal entry comes back twice.  Any other matrix goes to the
+    thick-restart Lanczos of ``krylov.lowest_eigenpairs``: v0
+    warm-starts it, maxiter caps its matvecs, and ConvergenceError
+    reports a solve that did not converge.
+
+    A single-vector Krylov space holds one vector per distinct
+    eigenvalue, so Lanczos cannot return a repeated lowest eigenvalue
+    twice.  This package's Hamiltonians have a simple ground state
+    whenever Omega != 0: the sign gauge |s> -> (-1)^popcount(s) |s> makes
+    every off-diagonal entry -|Omega|/2, single flips connect both the
+    full and the blockade basis, and Perron-Frobenius then makes the
+    lowest eigenvalue simple.  At Omega = 0 the matrix is diagonal.
     """
+    matrix = sparse.csr_array(matrix)  # shares the arrays of a CSR input
     dim = matrix.shape[0]
     if dim < 2:
         raise ValueError("need dimension >= 2")
-    if dim <= DENSE_EIG_THRESHOLD:
-        dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
-        vals, vecs = eigh(dense, subset_by_index=(0, 1))
+    diag = matrix.diagonal()
+    if np.count_nonzero(matrix.data) == np.count_nonzero(diag):
+        # every stored nonzero sits on the diagonal
+        order = np.argsort(diag.real, kind="stable")[:2]
+        vecs = np.zeros((2, dim), dtype=matrix.dtype)
+        vecs[[0, 1], order] = 1.0
+        vals = diag.real[order]
     else:
-        sigma = _shift_below_spectrum(matrix)
-        shifted = LinearOperator(
-            matrix.shape, matvec=lambda x: matrix @ x - sigma * x, dtype=matrix.dtype
+        vals, vecs = lowest_eigenpairs(
+            lambda x: matrix @ x, dim, matrix.dtype, 2, v0=v0, max_matvecs=maxiter
         )
-        try:
-            vals, vecs = eigsh(shifted, k=2, which="SA", maxiter=maxiter, v0=v0)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order] + sigma, vecs[:, order]
-    v0_out = _fix_phase(vecs[:, 0])
-    v1_out = _fix_phase(vecs[:, 1])
-    return float(vals[0]), float(vals[1]), v0_out, v1_out
+    return float(vals[0]), float(vals[1]), _fix_phase(vecs[0]), _fix_phase(vecs[1])
 
 
 def scan_gap(
@@ -134,31 +129,42 @@ def scan_gap(
     vecs0 = np.empty((n_samples, h.dim)) if store_vectors else None
     vecs1 = np.empty((n_samples, h.dim)) if store_vectors else None
 
-    warm = None
-    for i, t in enumerate(times):
+    def solve(t: float, warm: np.ndarray | None):
         try:
-            e0, e1, w0, w1 = eigenpairs_lowest2(
+            return eigenpairs_lowest2(
                 assemble(h, float(sched.omega(t)), float(sched.delta(t))), v0=warm
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"at t = {t:.6f} us: {exc}") from exc
+
+    # Each solve warm-starts from w0 + w1 of the previous sample.  The
+    # starts of the samples on either side of the smallest gap so far are
+    # kept for the golden-section probes, which all lie between them.
+    near_min: dict[int, np.ndarray] = {}
+    i_min = 0
+    warm = None
+    for i, t in enumerate(times):
+        e0, e1, w0, w1 = solve(t, warm)
         e0s[i], e1s[i] = e0, e1
-        warm = w0
         if store_vectors:
             vecs0[i], vecs1[i] = w0, w1
+        prev, warm = warm, w0 + w1
+        if i == 0 or e1 - e0 < e1s[i_min] - e0s[i_min]:
+            i_min = i
+            near_min = {i: warm} if prev is None else {i - 1: prev, i: warm}
+        elif i == i_min + 1:
+            near_min[i] = warm
     gaps = e1s - e0s
 
     # Golden-section refinement of the sampled minimum.
-    i_min = int(np.argmin(gaps))
     lo = times[max(i_min - 1, 0)]
     hi = times[min(i_min + 1, n_samples - 1)]
     probes: dict[float, tuple] = {}
 
     def probe(t: float):
         if t not in probes:
-            probes[t] = eigenpairs_lowest2(
-                assemble(h, float(sched.omega(t)), float(sched.delta(t)))
-            )
+            nearest = min(near_min, key=lambda k: abs(times[k] - t))
+            probes[t] = solve(t, near_min[nearest])
         return probes[t]
 
     a, b = lo, hi
@@ -179,9 +185,8 @@ def scan_gap(
     g_min, t_min = min(candidates)
 
     if not np.any(np.isclose(times, t_min, atol=1e-12)):
-        e0, e1, w0, w1 = probe(t_min) if t_min in probes else eigenpairs_lowest2(
-            assemble(h, float(sched.omega(t_min)), float(sched.delta(t_min)))
-        )
+        # t_min is a probe
+        e0, e1, w0, w1 = probes[t_min]
         pos = int(np.searchsorted(times, t_min))
         times = np.insert(times, pos, t_min)
         e0s = np.insert(e0s, pos, e0)

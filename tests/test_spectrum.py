@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -7,6 +9,7 @@ from scipy.sparse.linalg import norm as sparse_norm
 import rydmis.spectrum
 from rydmis import (
     AtomArray,
+    ConvergenceError,
     GapProfile,
     blockade_graph,
     build_basis,
@@ -103,7 +106,6 @@ def test_iterative_path_zero_eigenvalue_in_coupled_block():
     rng = np.random.default_rng(11)
     rest = diags(rng.permutation(np.arange(3.0, 5001.0)))
     m = block_diag([np.ones((2, 2)), rest], format="csr")
-    assert m.shape[0] > rydmis.spectrum.DENSE_EIG_THRESHOLD
     before = (m.data.copy(), m.indices.copy(), m.indptr.copy())
     e0, e1, v0, v1 = eigenpairs_lowest2(m)
     assert (e0, e1) == pytest.approx((0.0, 2.0), abs=1e-6)
@@ -115,8 +117,6 @@ def test_iterative_path_zero_eigenvalue_in_coupled_block():
 
 def test_iterative_path_matches_dense_on_q1d10(params, q1d10, monkeypatch):
     _, _, h = q1d10
-    monkeypatch.setattr(rydmis.spectrum, "DENSE_EIG_THRESHOLD", 512)
-    assert h.dim > rydmis.spectrum.DENSE_EIG_THRESHOLD
     sched = standard_schedule(params)
     for t in (0.3, 1.5, 3.6, 4.7):
         m = assemble(h, float(sched.omega(t)), float(sched.delta(t)))
@@ -127,6 +127,52 @@ def test_iterative_path_matches_dense_on_q1d10(params, q1d10, monkeypatch):
         assert np.linalg.norm(m @ v0 - e0 * v0) < 1e-8 * scale
         assert np.linalg.norm(m @ v1 - e1 * v1) < 1e-8 * scale
         assert abs(v0 @ v1) < 1e-10
+
+
+def test_warm_start_inside_an_invariant_block_still_finds_e1():
+    # v0 is the exact ground vector of the first block, so a Krylov space
+    # built from v0 alone never leaves that block and misses E1 = 1
+    rng = np.random.default_rng(3)
+    first = np.array([[0.0, 1.0], [1.0, 4.0]])
+    m = block_diag(
+        [first, np.array([[1.0]]), diags(rng.permutation(np.arange(5.0, 5003.0)))],
+        format="csr",
+    )
+    vals, vecs = np.linalg.eigh(first)
+    v0 = np.zeros(m.shape[0])
+    v0[:2] = vecs[:, 0]
+    e0, e1, w0, w1 = eigenpairs_lowest2(m, v0=v0)
+    assert (e0, e1) == pytest.approx((vals[0], 1.0), abs=1e-9)
+    assert abs(w1[2]) == pytest.approx(1.0, abs=1e-9)
+    assert abs(w0 @ w1) < 1e-10
+
+
+def test_degenerate_diagonal_is_sorted_exactly():
+    rng = np.random.default_rng(7)
+    d = rng.permutation(np.concatenate([[0.0, 0.0], np.arange(1.0, 40.0)]))
+    e0, e1, v0, v1 = eigenpairs_lowest2(diags(d).tocsr())
+    assert (e0, e1) == (0.0, 0.0)
+    zeros = np.flatnonzero(d == 0.0)
+    assert np.array_equal(v0, np.eye(d.size)[zeros[0]])
+    assert np.array_equal(v1, np.eye(d.size)[zeros[1]])
+
+
+def test_exhausted_matvec_budget_raises(params, q1d10):
+    _, _, h = q1d10
+    m = assemble(h, params.omega0, 0.0)
+    with pytest.raises(ConvergenceError, match=r"5 matvecs \(0 restarts\): residual"):
+        eigenpairs_lowest2(m, maxiter=5)
+
+
+def test_solve_logs_its_cost(params, q1d10, caplog):
+    _, _, h = q1d10
+    with caplog.at_level(logging.DEBUG, logger="rydmis.krylov"):
+        eigenpairs_lowest2(assemble(h, params.omega0, 0.0))
+    (record,) = [r for r in caplog.records if r.name == "rydmis.krylov"]
+    assert record.levelno == logging.DEBUG
+    assert "dim 1024" in record.message
+    for counter in ("matvecs", "restarts", "residual"):
+        assert counter in record.message
 
 
 def test_gap_minimum_location_q1d10(params, q1d10_profile):
