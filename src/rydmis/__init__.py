@@ -15,7 +15,6 @@ from .dynamics import (
     build_two_level_model,
     evolve,
     evolve_two_level,
-    mis_probability,
 )
 from .errors import ConvergenceError, DimensionLimitError, ResourceLimitError, RydmisError
 from .geometry import (
@@ -87,7 +86,6 @@ __all__ = [
     "hamiltonian_terms",
     "hamiltonian_time_derivative",
     "histogram_report",
-    "mis_probability",
     "mis_projector_support",
     "sample_shots",
     "scan_gap",

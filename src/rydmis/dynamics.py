@@ -1,28 +1,43 @@
 """Time-dependent Schrodinger integration and the two-level reduction.
 
-The propagator is a 4th-order commutator-free scheme: per step two
-exponentials exp(-i h (w1 H(t1) + w2 H(t2))) at the Gauss-Legendre nodes
-t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Because H depends linearly on (omega,
-delta), each exponent is exactly H at an effective parameter pair, and
-its action is the Krylov exponential of ``_expm_lanczos``, whose basis
-grows by the same block-CGS2 step (``krylov.extend``) as the
-eigensolver's.  Steps are accepted by step-doubling (Richardson) error
-control; a run is reported only after halving the step cap reproduces
-the final ground-state population to the convergence tolerance.  The
-ground population at each output time comes from
-``spectrum.eigenpairs_lowest2``, warm-started from the ground vector of
-the previous output time.
+One adaptive step-doubling loop, ``_step_doubling``, runs both the
+full evolution (``evolve``) and the two-level reduction
+(``evolve_two_level``).  It advances the state by a 4th-order
+commutator-free step (Alvermann & Fehske, J. Comput. Phys. 230, 2011):
+two exponentials exp(-i h (w1 H(t1) + w2 H(t2))) at the Gauss-Legendre
+nodes t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Step-doubling (Richardson)
+error control accepts or shrinks each trial step.
+
+Both drives are piecewise linear in t: the Rabi trapezoid and the
+detuning table of a ``PulseSchedule``, and the interpolated coupling and
+gap of a ``TwoLevelModel``.  A kink inside a step breaks the scheme's
+4th order, and the controller then shrinks and rejects steps around
+every one of the ~1000 knots of an engineered table.  So no trial step
+crosses a knot of the drive: inside every step H(t) is linear.
+
+In the full evolution H depends linearly on (omega, delta), so each
+exponent is exactly H at an effective parameter pair, and its action is
+the Krylov exponential of ``_expm_lanczos``, whose basis grows by the
+same block-CGS2 step (``krylov.extend``) as the eigensolver's.  A run is
+reported only after halving the step cap reproduces the final
+ground-state population to the convergence tolerance; its cost (steps,
+Krylov exponentials, matvecs) and that check's delta go to one DEBUG
+line of this module's logger.  The ground population at each output
+time comes from ``spectrum.eigenpairs_lowest2``, warm-started from the
+ground vector of the previous output time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import logging
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstev
 
 from .errors import ConvergenceError
-from .geometry import BlockadeGraph
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble, hamiltonian_time_derivative
 from .isets import count_isets, mis_projector_support
 from .krylov import extend
@@ -33,6 +48,9 @@ _SQRT3 = np.sqrt(3.0)
 _GL_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 _CF4_W1 = (3.0 + 2.0 * _SQRT3) / 12.0
 _CF4_W2 = (3.0 - 2.0 * _SQRT3) / 12.0
+KNOT_TOL = 1e-12  # us: a knot this close ahead of t counts as reached
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +123,11 @@ def _expm_tridiag(alphas: np.ndarray, betas: np.ndarray, tau: float) -> np.ndarr
     """First column of exp(-i tau T) for the Lanczos tridiagonal T."""
     if alphas.size == 1:
         return np.array([np.exp(-1j * tau * alphas[0])])
-    vals, vecs = eigh_tridiagonal(alphas, betas)
+    vals, vecs, info = dstev(alphas, betas, compute_v=1)
+    if info != 0:
+        raise ConvergenceError(
+            f"dstev failed on the {alphas.size}-dim Lanczos tridiagonal (info {info})"
+        )
     return vecs @ (np.exp(-1j * tau * vals) * vecs[0, :].conj())
 
 
@@ -117,8 +139,12 @@ def _cf4_step(
     psi: np.ndarray,
     krylov_dim: int,
     exp_tol: float,
+    counts: Counter,
 ) -> np.ndarray:
-    """One commutator-free 4th-order step from t to t + dt."""
+    """One commutator-free 4th-order step from t to t + dt.
+
+    Adds its Krylov exponentials and matvecs to ``counts``.
+    """
     t1 = t + _GL_NODES[0] * dt
     t2 = t + _GL_NODES[1] * dt
     om1, om2 = float(sched.omega(t1)), float(sched.omega(t2))
@@ -126,39 +152,57 @@ def _cf4_step(
     for w1, w2 in ((_CF4_W1, _CF4_W2), (_CF4_W2, _CF4_W1)):
         om_eff = 2.0 * (w1 * om1 + w2 * om2)
         de_eff = 2.0 * (w1 * de1 + w2 * de2)
-        psi = _expm_lanczos(
-            lambda x: h.matvec(om_eff, de_eff, x), psi, dt / 2.0, krylov_dim, exp_tol
-        )
+
+        def matvec(x, om=om_eff, de=de_eff):
+            counts["matvecs"] += 1
+            return h.matvec(om, de, x)
+
+        psi = _expm_lanczos(matvec, psi, dt / 2.0, krylov_dim, exp_tol)
+    counts["exponentials"] += 2
     return psi
 
 
-def _propagate(
-    h: HamiltonianTerms,
-    sched: PulseSchedule,
-    t0: float,
-    t1: float,
+def _step_doubling(
+    step: Callable[[float, float, np.ndarray], np.ndarray],
     psi: np.ndarray,
-    opts: EvolveOptions,
-    h_guess: float,
+    span: tuple[float, float],
+    knots: np.ndarray,
+    local_tol: float,
+    max_step: float,
+    min_step: float,
+    dt_hint: float,
+    counts: Counter,
 ) -> tuple[np.ndarray, float]:
-    """Adaptive evolution of psi from t0 to t1; returns (psi, step hint)."""
-    t = t0
-    dt = min(h_guess, opts.max_step)
-    exp_tol = opts.local_tol / 10.0
-    while t < t1 - 1e-13:
-        dt = min(dt, t1 - t, opts.max_step)
-        coarse = _cf4_step(h, sched, t, dt, psi, opts.krylov_dim, exp_tol)
-        mid = _cf4_step(h, sched, t, dt / 2.0, psi, opts.krylov_dim, exp_tol)
-        fine = _cf4_step(h, sched, t + dt / 2.0, dt / 2.0, mid, opts.krylov_dim, exp_tol)
+    """Adaptive evolution of psi over span = (t0, t1); returns (psi, step hint).
+
+    ``step(t, dt, psi)`` advances psi from t to t + dt.  A trial step from
+    t ends at min(t + dt, next knot, t1), so none crosses a knot of the
+    sorted array ``knots``; a knot within KNOT_TOL of t counts as reached.
+    Its error is |coarse - fine| / 15, with fine two half steps.  An
+    accepted step that a knot or t1 cut short leaves the proposed dt at
+    least as large as before, so the controller does not restart from a
+    small step after every knot.  Adds the accepted and rejected steps to
+    ``counts``.
+    """
+    t, t1 = span
+    dt = min(dt_hint, max_step)
+    while t < t1 - KNOT_TOL:
+        k = np.searchsorted(knots, t + KNOT_TOL, side="right")
+        end = t1 if k == knots.size or knots[k] > t1 - KNOT_TOL else float(knots[k])
+        h = min(dt, end - t)
+        coarse = step(t, h, psi)
+        fine = step(t + h / 2.0, h / 2.0, step(t, h / 2.0, psi))
         err = float(np.linalg.norm(coarse - fine)) / 15.0
-        if err <= opts.local_tol:
+        factor = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (local_tol / err) ** 0.2))
+        if err <= local_tol:
+            counts["accepted"] += 1
             psi = fine
-            t += dt
-            growth = 2.0 if err == 0.0 else min(2.0, 0.9 * (opts.local_tol / err) ** 0.2)
-            dt = dt * max(growth, 0.2)
+            t = end if h == end - t else t + h
+            dt = min(max(dt, h * factor) if h < dt else h * factor, max_step)
         else:
-            dt = dt * max(0.2, 0.9 * (opts.local_tol / err) ** 0.2)
-            if dt < opts.min_step:
+            counts["rejected"] += 1
+            dt = h * factor
+            if dt < min_step:
                 raise ConvergenceError(f"step size underflow at t = {t:.6f} us")
     return psi, dt
 
@@ -208,8 +252,17 @@ def evolve(
         [p for p in (h.basis.position_of(c) for c in mis_configs) if p >= 0], dtype=int
     )
 
+    t_r, t_end = sched.ramp_time, sched.total_time
+    knots = np.union1d(sched.delta_times, (0.0, t_r, t_end - t_r, t_end))
+    counts: Counter = Counter()
+
     def run(local_opts: EvolveOptions, record: bool):
-        times = np.linspace(0.0, sched.total_time, local_opts.n_output)
+        exp_tol = local_opts.local_tol / 10.0
+
+        def step(t: float, dt: float, psi: np.ndarray) -> np.ndarray:
+            return _cf4_step(h, sched, t, dt, psi, local_opts.krylov_dim, exp_tol, counts)
+
+        times = np.linspace(0.0, t_end, local_opts.n_output)
         psi = np.zeros(h.dim, dtype=complex)
         psi[pos0] = 1.0
         p_e0 = np.empty(times.size)
@@ -218,8 +271,9 @@ def evolve(
         ground = None  # ground vector at the previous output time
         for i, t_out in enumerate(times):
             if i > 0:
-                psi, dt_hint = _propagate(
-                    h, sched, times[i - 1], t_out, psi, local_opts, dt_hint
+                psi, dt_hint = _step_doubling(
+                    step, psi, (times[i - 1], t_out), knots, local_opts.local_tol,
+                    local_opts.max_step, local_opts.min_step, dt_hint, counts,
                 )
             if record and local_opts.track_projections:
                 p_e0[i], ground = _ground_projection(
@@ -235,6 +289,7 @@ def evolve(
 
     times, psi, p_e0, p_mis, final_p_e0 = run(opts, record=True)
 
+    check_delta = None
     if opts.convergence_check:
         check_opts = replace(
             opts,
@@ -244,12 +299,19 @@ def evolve(
             n_output=2,
         )
         _, _, _, _, final_check = run(check_opts, record=False)
-        if abs(final_check - final_p_e0) >= opts.convergence_tol:
-            raise ConvergenceError(
-                "halving the step cap moved final p_e0 by "
-                f"{abs(final_check - final_p_e0):.2e} (>= {opts.convergence_tol:g}); "
-                "tighten local_tol"
-            )
+        check_delta = abs(final_check - final_p_e0)
+    logger.debug(
+        "evolve dim %d, %d knots, %d run(s): %d accepted and %d rejected steps, "
+        "%d Krylov exponentials, %d matvecs, convergence-check delta %s",
+        h.dim, knots.size, 1 + opts.convergence_check, counts["accepted"],
+        counts["rejected"], counts["exponentials"], counts["matvecs"],
+        "not run" if check_delta is None else f"{check_delta:.3e}",
+    )
+    if check_delta is not None and check_delta >= opts.convergence_tol:
+        raise ConvergenceError(
+            f"halving the step cap moved final p_e0 by {check_delta:.2e} "
+            f"(>= {opts.convergence_tol:g}); tighten local_tol"
+        )
 
     if not opts.track_projections:
         p_e0 = np.full(times.size, np.nan)
@@ -264,15 +326,6 @@ def evolve(
         final_state=QuantumState(basis=h.basis, amplitudes=psi),
         final_p_e0=final_p_e0,
         final_p_mis=final_p_mis,
-    )
-
-
-def mis_probability(res: EvolutionResult, g: BlockadeGraph) -> float:
-    """Total final-state probability on the MIS configurations."""
-    stats = count_isets(g)
-    configs = [int(b, 2) for b in mis_projector_support(g, stats)]
-    return float(
-        sum(res.final_state.probability_of(c) for c in configs)
     )
 
 
@@ -323,9 +376,11 @@ def evolve_two_level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leakage P_E1(t) of the two-level model from (c0, c1) = (1, 0).
 
-    Same commutator-free stepping and step-doubling control as the full
-    evolution, with the 2x2 exponentials evaluated in closed form.
-    Returns (times, p_e1).
+    Runs on the same step-doubling loop and commutator-free step as the
+    full evolution, with the 2x2 exponentials evaluated in closed form.
+    The knots are ``m.times``, where the linear interpolation of the
+    coupling and the gap kinks, so no step crosses one.  Returns
+    (times, p_e1).
     """
 
     def exp_apply(a: float, b: float, tau: float, c: np.ndarray) -> np.ndarray:
@@ -354,27 +409,16 @@ def evolve_two_level(
             c = exp_apply(a, b, dt, c)
         return c
 
-    t0, t1 = float(m.times[0]), float(m.times[-1])
-    times = np.linspace(t0, t1, n_output)
+    knots = np.asarray(m.times, dtype=float)
+    times = np.linspace(knots[0], knots[-1], n_output)
     c = np.array([1.0 + 0.0j, 0.0j])
     p_e1 = np.empty(times.size)
     p_e1[0] = 0.0
     dt = max_step
+    counts: Counter = Counter()
     for i in range(1, times.size):
-        t = times[i - 1]
-        target = times[i]
-        while t < target - 1e-13:
-            dt = min(dt, target - t, max_step)
-            coarse = step(t, dt, c)
-            fine = step(t + dt / 2.0, dt / 2.0, step(t, dt / 2.0, c))
-            err = float(np.linalg.norm(coarse - fine)) / 15.0
-            if err <= local_tol:
-                c = fine
-                t += dt
-                dt *= 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (local_tol / err) ** 0.2))
-            else:
-                dt *= max(0.2, 0.9 * (local_tol / err) ** 0.2)
-                if dt < min_step:
-                    raise ConvergenceError(f"two-level step underflow at t = {t:.6f}")
+        c, dt = _step_doubling(
+            step, c, (times[i - 1], times[i]), knots, local_tol, max_step, min_step, dt, counts
+        )
         p_e1[i] = float(abs(c[1]) ** 2)
     return times, p_e1

@@ -1,35 +1,50 @@
+import logging
+
 import numpy as np
 import pytest
 
+import rydmis.dynamics
 from rydmis import (
+    EvolveOptions,
+    HamiltonianTerms,
+    TwoLevelModel,
     blockade_graph,
     build_basis,
     builtin_instance,
     evolve,
+    evolve_two_level,
     hamiltonian_terms,
     standard_schedule,
+    transfer_schedule,
 )
 
 from oracles import oracle_dense_hamiltonian
 
 
-def _midpoint_p_e0(positions, params, sched, n_steps):
+def _knots(sched):
+    """Every kink of the drive: the detuning table and the Rabi trapezoid corners."""
+    t_r, t_end = sched.ramp_time, sched.total_time
+    return np.union1d(sched.delta_times, (0.0, t_r, t_end - t_r, t_end))
+
+
+def _midpoint_p_e0(positions, params, sched, n_steps, refine=1):
     """Final ground population by exact exponentials of the dense H at step midpoints.
 
-    Each schedule segment between kinks gets about n_steps * length / T
-    equal steps, so H(t) is smooth inside every step and the global
-    error is a series in even powers of the step.
+    Each piece of the schedule between two knots gets
+    refine * ceil(n_steps * length / T) equal steps, so H(t) is linear
+    inside every step and the global error is a series in even powers of
+    the step; refine = 2 halves every step of the refine = 1 grid.
     """
     # H = omega X + delta Z + U exactly: the oracle is linear in (omega, delta)
     u = oracle_dense_hamiltonian(positions, params.c6, 0.0, 0.0)
     x = oracle_dense_hamiltonian(positions, 0.0, 1.0, 0.0)
     z = oracle_dense_hamiltonian(positions, 0.0, 0.0, 1.0)
-    t_r, t_end = sched.ramp_time, sched.total_time
+    t_end = sched.total_time
     psi = np.zeros(u.shape[0], dtype=complex)
     psi[0] = 1.0  # all atoms in |g>
-    knots = (0.0, t_r, t_end - t_r, t_end)
+    knots = _knots(sched)
     for a, b in zip(knots[:-1], knots[1:]):
-        n = int(np.ceil(n_steps * (b - a) / t_end))
+        n = refine * int(np.ceil(n_steps * (b - a) / t_end))
         dt = (b - a) / n
         for k in range(n):
             t = a + (k + 0.5) * dt
@@ -54,3 +69,69 @@ def test_standard_sweep_matches_dense_midpoint_oracle(params):
     assert res.final_p_e0 == pytest.approx(oracle, abs=1e-6)
     assert res.p_e0[-1] == res.final_p_e0
     assert np.all((res.p_e0 >= -1e-12) & (res.p_e0 <= 1.0 + 1e-9))
+
+
+def test_transfer_sweep_matches_dense_midpoint_oracle(params):
+    arr = builtin_instance("Q1D_7")
+    g = blockade_graph(arr, params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    sched = transfer_schedule(params, 0.0)
+    assert _knots(sched).size > 1000
+    res = evolve(h, sched, EvolveOptions(n_output=2, track_projections=False))
+    assert res.final_state.norm() == pytest.approx(1.0, abs=1e-9)
+    # every piece gets k steps in the coarse run and 2k in the fine one
+    coarse = _midpoint_p_e0(arr.positions, params, sched, 500)
+    fine = _midpoint_p_e0(arr.positions, params, sched, 500, refine=2)
+    oracle = (4.0 * fine - coarse) / 3.0
+    assert res.final_p_e0 == pytest.approx(oracle, abs=1e-6)
+
+
+def test_no_trial_step_straddles_a_knot(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    sched = transfer_schedule(params, 0.0)
+    steps = []
+    cf4_step = rydmis.dynamics._cf4_step
+
+    def spy(*args):
+        steps.append(args[2:4])  # (t, dt)
+        return cf4_step(*args)
+
+    monkeypatch.setattr(rydmis.dynamics, "_cf4_step", spy)
+    evolve(h, sched, EvolveOptions(n_output=7, convergence_check=False))
+    t, dt = np.array(steps).T
+    assert t.size > 1000
+    knots = _knots(sched)
+    inside = (knots > t[:, None] + 1e-12) & (knots < (t + dt)[:, None] - 1e-12)
+    assert not inside.any(), f"{inside.any(axis=1).sum()} of {t.size} trial steps straddle a knot"
+
+
+def test_two_level_stepping_matches_rabi_formula():
+    k, gap = 1.3, 4.1
+    times = np.linspace(0.0, 2.0, 9)
+    m = TwoLevelModel(times, coupling=np.full(9, k), gap=np.full(9, gap))
+    t, p_e1 = evolve_two_level(m, n_output=57)
+    rabi = np.hypot(k, gap / 2.0)
+    expected = (k / rabi) ** 2 * np.sin(t * rabi) ** 2
+    assert t[0] == 0.0 and t[-1] == 2.0
+    np.testing.assert_allclose(p_e1, expected, rtol=0.0, atol=1e-7)
+
+
+def test_evolve_logs_its_cost(params, caplog, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    matvecs = []
+    matvec = HamiltonianTerms.matvec
+
+    def spy(self, *args):
+        matvecs.append(1)
+        return matvec(self, *args)
+
+    monkeypatch.setattr(HamiltonianTerms, "matvec", spy)
+    with caplog.at_level(logging.DEBUG, logger="rydmis.dynamics"):
+        evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "rydmis.dynamics"]
+    for word in ("accepted", "rejected", "Krylov exponentials", "convergence-check delta"):
+        assert word in line
+    assert f" {len(matvecs)} matvecs" in line
+    assert "not run" not in line
