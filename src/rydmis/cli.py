@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configs import bits_to_configs
 from .dynamics import (
     EvolutionResult,
     EvolveOptions,
@@ -124,17 +125,19 @@ def _state_to_json(state: QuantumState) -> dict:
 
 
 def _state_from_json(data: dict) -> QuantumState:
+    """State of a state file, whose entries may come in any order."""
     n = int(data["n"])
     entries = data["entries"]
-    states = np.array([int(e["bits"], 2) for e in entries], dtype=np.int64)
+    configs = bits_to_configs([e["bits"] for e in entries], n)
     amps = np.array([complex(e["re"], e["im"]) for e in entries])
-    basis = BasisSet(
-        kind=str(data.get("kind", "custom")),
-        n=n,
-        states=states,
-        index={int(s): i for i, s in enumerate(states)},
-    )
-    return QuantumState(basis=basis, amplitudes=amps)
+    order = np.argsort(configs)
+    states = configs[order]
+    repeated = states[1:][states[1:] == states[:-1]]
+    if repeated.size:
+        bits = format(int(repeated[0]), f"0{n}b")
+        raise ValueError(f"state file lists configuration {bits} more than once")
+    basis = BasisSet(kind=str(data.get("kind", "custom")), n=n, states=states)
+    return QuantumState(basis=basis, amplitudes=amps[order])
 
 
 # ---------------------------------------------------------------- subcommands
@@ -143,7 +146,7 @@ def _state_from_json(data: dict) -> QuantumState:
 def cmd_isets(args) -> int:
     arr = load_instance(args.instance)
     g = blockade_graph(arr, _params_from_args(args))
-    stats = count_isets(g, min_size=args.min_size)
+    stats = count_isets(g)
     out = {
         "instance": arr.name,
         "n": g.n,
@@ -177,8 +180,7 @@ def cmd_design(args) -> int:
     p = _params_from_args(args)
     g = blockade_graph(arr, p, require_mis_encoding=True)
     h = hamiltonian_terms(g, build_basis(g, args.basis), interaction=args.interaction)
-    method = {"std": "std", "adglb": "adglb", "transfer": "transfer"}[args.method]
-    sched = _resolve_schedule(method, p, h, args.j, args.nu_d_mhz, args.samples)
+    sched = _resolve_schedule(args.method, p, h, args.j, args.nu_d_mhz, args.samples)
     sched.save(args.out)
     print(f"{sched.kind_label()} schedule -> {args.out}")
     return 0

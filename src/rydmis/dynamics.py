@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dstev
 
+from .configs import bits_to_configs
 from .errors import ConvergenceError
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble, hamiltonian_time_derivative
 from .isets import count_isets, mis_projector_support
@@ -60,10 +61,6 @@ class QuantumState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def probability_of(self, config: int) -> float:
-        pos = self.basis.position_of(config)
-        return float(abs(self.amplitudes[pos]) ** 2) if pos >= 0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +244,9 @@ def evolve(
         raise ValueError("basis does not contain the all-ground configuration")
 
     stats = count_isets(h.graph)
-    mis_configs = [int(b, 2) for b in mis_projector_support(h.graph, stats)]
-    mis_positions = np.array(
-        [p for p in (h.basis.position_of(c) for c in mis_configs) if p >= 0], dtype=int
-    )
+    mis_configs = bits_to_configs(mis_projector_support(h.graph, stats), h.graph.n)
+    mis_positions = h.basis.position_of(mis_configs)
+    mis_positions = mis_positions[mis_positions >= 0]
 
     t_r, t_end = sched.ramp_time, sched.total_time
     knots = np.union1d(sched.delta_times, (0.0, t_r, t_end - t_r, t_end))

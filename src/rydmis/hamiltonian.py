@@ -15,6 +15,11 @@ Rydberg state.  Two interaction modes:
 omega and delta enter linearly, so the matrix is cached as one
 off-diagonal bit-flip pattern plus two diagonal vectors and re-weighted
 per (omega, delta) query.
+
+A basis is one strictly ascending int64 array of configurations
+(``BasisSet.states``).  Positions in it are found by binary search, so
+the bit-flip pattern takes one XOR and one search per atom, and no code
+here loops over basis states.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from .configs import atom_bit
+from .configs import atom_bit, configs_to_bits
 from .errors import DimensionLimitError
 from .geometry import BlockadeGraph
 from .schedule import PulseSchedule
@@ -36,30 +41,33 @@ BLOCKADE_BASIS_MAX_STATES = 1 << 24
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
-    """Ordered configuration basis (ascending integer value).
+    """Configuration basis: the strictly ascending int64 array ``states``.
 
     kind "full" holds all 2^n configurations; kind "blockade" only the
-    independent sets of the graph.  For the full basis a configuration's
-    position equals its value, so no index map is stored.
+    independent sets of the graph.  A configuration's position in the
+    basis is its position in ``states``, found by binary search.
     """
 
     kind: str
     n: int
     states: np.ndarray
-    index: dict[int, int] | None = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
         return self.states.size
 
-    def position_of(self, config: int) -> int:
-        """Position of a configuration, or -1 if outside the basis."""
-        if self.index is None:
-            return config if 0 <= config < self.dim else -1
-        return self.index.get(config, -1)
+    def position_of(self, config: int | np.ndarray) -> int | np.ndarray:
+        """Position of a configuration (an int or an int array), -1 where absent.
+
+        An int gives a plain int; an array gives an array of its shape.
+        """
+        configs = np.asarray(config, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.states, configs), self.dim - 1)
+        pos = np.where(self.states[pos] == configs, pos, -1)
+        return int(pos) if pos.ndim == 0 else pos
 
     def bitstrings(self) -> list[str]:
-        return [format(int(s), f"0{self.n}b") for s in self.states]
+        return configs_to_bits(self.states, self.n)
 
 
 def build_basis(g: BlockadeGraph, kind: str = "full") -> BasisSet:
@@ -71,38 +79,27 @@ def build_basis(g: BlockadeGraph, kind: str = "full") -> BasisSet:
         states = np.arange(1 << g.n, dtype=np.int64)
         return BasisSet(kind="full", n=g.n, states=states)
     if kind == "blockade":
-        configs = _independent_configs(g)
-        if len(configs) > BLOCKADE_BASIS_MAX_STATES:
-            raise DimensionLimitError(
-                f"blockade basis with {len(configs)} states exceeds the guard"
-            )
-        states = np.array(configs, dtype=np.int64)
-        index = {int(c): i for i, c in enumerate(configs)}
-        return BasisSet(kind="blockade", n=g.n, states=states, index=index)
+        return BasisSet(kind="blockade", n=g.n, states=_independent_configs(g))
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-def _independent_configs(g: BlockadeGraph) -> list[int]:
+def _independent_configs(g: BlockadeGraph) -> np.ndarray:
     """All independent-set configurations in ascending order.
 
-    Vertices are scanned from atom 0 (most significant bit) downward
-    with the empty branch first, which emits configurations already
-    sorted.
+    Atoms are added from the lowest bit up.  Every configuration so far
+    lies below the new atom's bit, so appending the ones that leave the
+    atom unblocked, with its bit set, keeps the array sorted.
     """
-    n = g.n
-    out: list[int] = []
-
-    def rec(v: int, config: int, blocked: int) -> None:
-        if v == n:
-            out.append(config)
-            return
-        rec(v + 1, config, blocked)
-        vbit = atom_bit(n, v)
-        if not blocked & vbit:
-            rec(v + 1, config | vbit, blocked | g.adjacency[v])
-
-    rec(0, 0, 0)
-    return sorted(out)
+    states = np.zeros(1, dtype=np.int64)
+    for v in reversed(range(g.n)):
+        free = states[(states & g.adjacency[v]) == 0]
+        states = np.concatenate([states, free | atom_bit(g.n, v)])
+        if states.size > BLOCKADE_BASIS_MAX_STATES:
+            raise DimensionLimitError(
+                f"blockade basis exceeds the {BLOCKADE_BASIS_MAX_STATES}-state guard "
+                f"with {g.n - v} of {g.n} atoms"
+            )
+    return states
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +147,21 @@ def hamiltonian_terms(
     states = basis.states
     dim = states.size
 
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, s in enumerate(states):
-        s = int(s)
-        for v in range(n):
-            flipped = s ^ atom_bit(n, v)
-            if flipped > s:
-                jpos = basis.position_of(flipped)
-                if jpos >= 0:
-                    rows.append(i)
-                    cols.append(jpos)
-    rows_arr = np.array(rows + cols, dtype=np.int64)
-    cols_arr = np.array(cols + rows, dtype=np.int64)
+    # sx links each state with its bit v clear to the state with it set
+    rows, cols = [], []
+    for v in range(n):
+        bit = atom_bit(n, v)
+        lower = np.flatnonzero((states & bit) == 0)
+        upper = basis.position_of(states[lower] ^ bit)
+        found = upper >= 0
+        rows.append(lower[found])
+        cols.append(upper[found])
+    rows_arr = np.concatenate(rows + cols)
+    cols_arr = np.concatenate(cols + rows)
     data = np.full(rows_arr.size, 0.5)
     sx = csr_matrix((data, (rows_arr, cols_arr)), shape=(dim, dim))
 
-    popcounts = np.array([int(s).bit_count() for s in states], dtype=np.int64)
-    zdiag = (n - 2 * popcounts) / 2.0
+    zdiag = n / 2.0 - np.bitwise_count(states)
 
     udiag = np.zeros(dim)
     for u, v, energy in _pair_energies(g, interaction):

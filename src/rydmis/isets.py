@@ -5,13 +5,17 @@ identifies all maximum independent sets, and evaluates the hardness
 parameter R_(m-1) / (m * R_m) where m is the MIS size.  Counting is an
 exhaustive branch-and-bound on vertex bitmasks: split connected
 components, branch on a maximum-degree vertex, memoize subproblems.
+Measured configurations are classified against the graph as whole
+arrays, one pass per blockade edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configs import atom_bit, bits_to_config, config_to_bits, config_to_vertices
+import numpy as np
+
+from .configs import atom_bit, bits_to_configs, configs_to_bits
 from .errors import ResourceLimitError
 from .geometry import BlockadeGraph
 
@@ -117,18 +121,13 @@ def _poly_add_shifted(base: list[int], shifted: list[int]) -> list[int]:
 
 def count_isets(
     g: BlockadeGraph,
-    min_size: int = 0,
     node_budget: int = DEFAULT_NODE_BUDGET,
     mis_cap: int = DEFAULT_MIS_CAP,
 ) -> ISetStats:
     """Exact independent-set counts R_k for all k, MIS list and hardness.
 
-    min_size is accepted for interface compatibility (callers may only
-    need the top of the census); the census returned is always complete.
     Raises ResourceLimitError if the search tree exceeds node_budget.
     """
-    if min_size > g.n:
-        raise ValueError("min_size exceeds vertex count")
     counter = _PolyCounter(g.adjacency, g.n, node_budget)
     full_mask = (1 << g.n) - 1
     coeffs = counter.poly(full_mask)
@@ -190,30 +189,39 @@ def _enumerate_isets_of_size(
 
 
 def classify_bitstring(
-    g: BlockadeGraph, bits: str, stats: ISetStats | None = None
+    g: BlockadeGraph, bits: str | np.ndarray, stats: ISetStats | None = None
 ) -> dict:
-    """Classify one measurement bitstring against the blockade graph.
+    """Classify measurement outcomes against the blockade graph.
 
-    bits[v] = '1' means atom v+1 was read out in the Rydberg state.
-    Returns {"is_independent", "size", "is_mis", "is_mis_minus_1"}.
+    bits is one bitstring, where bits[v] = '1' means atom v+1 was read
+    out in the Rydberg state, or an int array of configurations in the
+    encoding of ``configs``.  Returns {"is_independent", "size", "is_mis",
+    "is_mis_minus_1"}: plain values for a bitstring, arrays shaped like
+    the configurations for an array.
     """
-    if len(bits) != g.n:
-        raise ValueError(f"bitstring length {len(bits)} != atom count {g.n}")
-    if set(bits) - {"0", "1"}:
-        raise ValueError("bitstring must contain only 0 and 1")
+    if isinstance(bits, str):
+        configs = bits_to_configs([bits], g.n)
+    else:
+        configs = np.asarray(bits)
+        if configs.dtype.kind not in "iu" or np.any((configs < 0) | ((configs >> g.n) != 0)):
+            raise ValueError(f"configurations of {g.n} atoms are integers in [0, 2^{g.n})")
+        configs = configs.astype(np.int64, copy=False)
     if stats is None:
         stats = count_isets(g)
-    config = bits_to_config(bits)
-    size = config.bit_count()
-    independent = all(
-        not (config & g.adjacency[v]) for v in config_to_vertices(config, g.n)
-    )
-    return {
+    size = np.bitwise_count(configs)
+    independent = np.ones(configs.shape, dtype=bool)
+    for u, v in g.edges:
+        pair = atom_bit(g.n, u) | atom_bit(g.n, v)
+        independent &= (configs & pair) != pair
+    out = {
         "is_independent": independent,
         "size": size,
-        "is_mis": independent and size == stats.mis_size,
-        "is_mis_minus_1": independent and size == stats.mis_size - 1,
+        "is_mis": independent & (size == stats.mis_size),
+        "is_mis_minus_1": independent & (size == stats.mis_size - 1),
     }
+    if isinstance(bits, str):
+        return {k: v.item() for k, v in out.items()}
+    return out
 
 
 def mis_projector_support(
@@ -231,7 +239,5 @@ def mis_projector_support(
         raise ResourceLimitError(
             "MIS sets were not retained (count exceeds the retention cap)"
         )
-    configs = sorted(
-        sum(atom_bit(g.n, v) for v in s) if s else 0 for s in stats.mis_sets
-    )
-    return tuple(config_to_bits(c, g.n) for c in configs)
+    configs = sorted(sum(atom_bit(g.n, v) for v in s) for s in stats.mis_sets)
+    return tuple(configs_to_bits(np.array(configs, dtype=np.int64), g.n))

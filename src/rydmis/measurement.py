@@ -10,37 +10,25 @@ sets, other independent sets, and blockade-violating strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import config_to_bits
-from .geometry import BlockadeGraph, from_mhz
-from .isets import ISetStats, classify_bitstring, count_isets
+from .configs import bits_to_configs, configs_to_bits
+from .geometry import BlockadeGraph
+from .isets import classify_bitstring, count_isets
 
 
 @dataclass(frozen=True)
 class SpamModel:
-    """Asymmetric per-atom readout bit-flip rates.
-
-    detuning_offset_sigma, when set, is the width (rad/us) of a static
-    global detuning error drawn once per shot batch; applying it means
-    re-running the evolution with a shifted schedule, so it is off by
-    default and handled by the pipeline layer, not by sample_shots.
-    """
+    """Asymmetric per-atom readout bit-flip rates."""
 
     p_g_given_r: float = 0.10
     p_r_given_g: float = 0.05
-    detuning_offset_sigma: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_g_given_r <= 1.0 and 0.0 <= self.p_r_given_g <= 1.0):
             raise ValueError("flip probabilities must lie in [0, 1]")
-
-    @classmethod
-    def hardware_default(cls) -> "SpamModel":
-        return cls(p_g_given_r=0.10, p_r_given_g=0.05,
-                   detuning_offset_sigma=from_mhz(0.16))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,22 +85,14 @@ def sample_shots(
 
     weights = 1 << shift
     observed = (bits * weights[None, :]).sum(axis=1)
-    counts: dict[str, int] = {}
-    for config, cnt in zip(*np.unique(observed, return_counts=True)):
-        counts[config_to_bits(int(config), n)] = int(cnt)
+    outcomes, cnts = np.unique(observed, return_counts=True)
+    counts = dict(zip(configs_to_bits(outcomes, n), cnts.tolist()))
 
     p_mis = p_mis_1 = None
     if graph is not None:
-        stats = count_isets(graph)
-        mis_shots = mis1_shots = 0
-        for bits_, cnt in counts.items():
-            k = _klass(graph, bits_, stats)
-            if k == "mis":
-                mis_shots += cnt
-            elif k == "mis_minus_1":
-                mis1_shots += cnt
-        p_mis = mis_shots / n_shots
-        p_mis_1 = mis1_shots / n_shots
+        c = classify_bitstring(graph, outcomes, count_isets(graph))
+        p_mis = int(cnts[c["is_mis"]].sum()) / n_shots
+        p_mis_1 = int(cnts[c["is_mis_minus_1"]].sum()) / n_shots
 
     return ShotHistogram(
         counts=counts,
@@ -125,17 +105,6 @@ def sample_shots(
     )
 
 
-def _klass(g: BlockadeGraph, bits: str, stats: ISetStats) -> str:
-    c = classify_bitstring(g, bits, stats)
-    if not c["is_independent"]:
-        return "non_independent"
-    if c["is_mis"]:
-        return "mis"
-    if c["is_mis_minus_1"]:
-        return "mis_minus_1"
-    return "other_independent"
-
-
 def histogram_report(h: ShotHistogram, g: BlockadeGraph) -> dict:
     """Group a shot histogram by independent-set class.
 
@@ -145,16 +114,26 @@ def histogram_report(h: ShotHistogram, g: BlockadeGraph) -> dict:
     if g.n != h.n_atoms:
         raise ValueError("graph size does not match histogram bitstring length")
     stats = count_isets(g)
-    class_counts = {"mis": 0, "mis_minus_1": 0, "other_independent": 0,
-                    "non_independent": 0}
-    bars: dict[str, list] = {"mis": [], "mis_minus_1": []}
-    for bits, cnt in h.counts.items():
-        k = _klass(g, bits, stats)
-        class_counts[k] += cnt
-        if k in bars:
-            bars[k].append((bits, cnt / h.n_shots))
-    for k in bars:
-        bars[k].sort(key=lambda item: (-item[1], item[0]))
+    bits = list(h.counts)
+    configs = bits_to_configs(bits, g.n)
+    cnts = np.fromiter(h.counts.values(), dtype=np.int64, count=len(bits))
+    c = classify_bitstring(g, configs, stats)
+    classes = {
+        "mis": c["is_mis"],
+        "mis_minus_1": c["is_mis_minus_1"],
+        "other_independent": c["is_independent"] & ~c["is_mis"] & ~c["is_mis_minus_1"],
+        "non_independent": ~c["is_independent"],
+    }
+    class_counts = {k: int(cnts[mask].sum()) for k, mask in classes.items()}
+    bars: dict[str, list] = {}
+    for k in ("mis", "mis_minus_1"):
+        # by falling probability, then by bitstring, which is ascending config
+        idx = np.flatnonzero(classes[k])
+        idx = idx[np.lexsort((configs[idx], -cnts[idx]))]
+        bars[k] = [
+            {"bits": bits[i], "probability": p}
+            for i, p in zip(idx.tolist(), (cnts[idx] / h.n_shots).tolist())
+        ]
     return {
         "n_shots": h.n_shots,
         "seed": h.seed,
@@ -169,8 +148,6 @@ def histogram_report(h: ShotHistogram, g: BlockadeGraph) -> dict:
         },
         "p_mis": class_counts["mis"] / h.n_shots,
         "p_mis_minus_1": class_counts["mis_minus_1"] / h.n_shots,
-        "bars_mis": [{"bits": b, "probability": p} for b, p in bars["mis"]],
-        "bars_mis_minus_1": [
-            {"bits": b, "probability": p} for b, p in bars["mis_minus_1"]
-        ],
+        "bars_mis": bars["mis"],
+        "bars_mis_minus_1": bars["mis_minus_1"],
     }

@@ -40,6 +40,21 @@ def oracle_iset_counts(positions, r_b):
     return counts
 
 
+def oracle_independent_configs(positions, r_b):
+    """Every independent set as a configuration integer (atom 1 most
+    significant), ascending, from an exhaustive 2^n scan."""
+    n = len(positions)
+    edges = oracle_edges(positions, r_b)
+    out = []
+    for config in range(1 << n):
+        members = [v for v in range(n) if config >> (n - 1 - v) & 1]
+        if not any(
+            (u, v) in edges for i, u in enumerate(members) for v in members[i + 1:]
+        ):
+            out.append(config)
+    return out
+
+
 def oracle_mis_bitstrings(positions, r_b):
     """All maximum independent sets as bitstrings (atom 1 leftmost)."""
     n = len(positions)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import rydmis.hamiltonian
 from rydmis import (
     AtomArray,
     BlockadeGraph,
@@ -11,6 +12,7 @@ from rydmis import (
     blockade_graph,
     build_basis,
     builtin_instance,
+    count_isets,
     dump_matrix,
     from_mhz,
     hamiltonian_terms,
@@ -18,7 +20,7 @@ from rydmis import (
     standard_schedule,
 )
 
-from oracles import oracle_dense_hamiltonian
+from oracles import oracle_dense_hamiltonian, oracle_independent_configs
 
 
 def _single_atom(params):
@@ -46,6 +48,47 @@ def test_blockade_basis_excludes_violations(params):
     basis = build_basis(g, "blockade")
     assert basis.bitstrings() == ["00", "01", "10"]
     assert basis.position_of(3) == -1
+
+
+def test_blockade_basis_matches_brute_force(params):
+    # a 1D chain and a 12-atom patch of the 2D triangular lattice
+    td25 = builtin_instance("TD_25")
+    patch = AtomArray(name="TD_25[:12]", positions=td25.positions[:12])
+    for arr in (builtin_instance("Q1D_10"), patch):
+        g = blockade_graph(arr, params)
+        basis = build_basis(g, "blockade")
+        want = oracle_independent_configs(arr.positions, params.blockade_radius)
+        assert basis.states.dtype == np.int64
+        assert basis.states.tolist() == want
+
+
+def test_td25_blockade_basis_size_is_the_census(params):
+    g = blockade_graph(builtin_instance("TD_25"), params)
+    basis = build_basis(g, "blockade")
+    assert basis.dim == sum(count_isets(g).r.values()) == 13_322
+
+
+def test_position_of_arrays(params):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    for kind in ("full", "blockade"):
+        basis = build_basis(g, kind)
+        absent = np.setdiff1d(np.arange(16), basis.states)
+        probe = np.concatenate([basis.states[::-1], absent, [-1, -16, 16, 1 << 40]])
+        want = [basis.dim - 1 - i for i in range(basis.dim)] + [-1] * (probe.size - basis.dim)
+        assert basis.position_of(probe).tolist() == want
+        assert basis.position_of(probe.reshape(-1, 1)).shape == (probe.size, 1)
+        assert type(basis.position_of(int(basis.states[-1]))) is int
+        assert basis.position_of(16) == basis.position_of(-1) == -1
+    assert absent.size > 0
+
+
+def test_blockade_basis_guard(params, monkeypatch):
+    g = blockade_graph(builtin_instance("TD_25"), params)
+    monkeypatch.setattr(rydmis.hamiltonian, "BLOCKADE_BASIS_MAX_STATES", 13_321)
+    with pytest.raises(DimensionLimitError, match="13321-state guard"):
+        build_basis(g, "blockade")
+    monkeypatch.setattr(rydmis.hamiltonian, "BLOCKADE_BASIS_MAX_STATES", 13_322)
+    assert build_basis(g, "blockade").dim == 13_322
 
 
 def _q1d10(params):

@@ -155,7 +155,17 @@ def test_mis_retention_cap(params):
     assert full.mis_sets is not None and len(full.mis_sets) == 256
 
 
-def test_min_size_precondition(params):
-    g = _pair_graph(params)
-    with pytest.raises(ValueError):
-        count_isets(g, min_size=3)
+def test_classify_array_matches_each_bitstring(params):
+    g = blockade_graph(generate_kpxp_chain(7, 8.0), params)
+    stats = count_isets(g)
+    configs = np.arange(1 << g.n)
+    arrays = classify_bitstring(g, configs, stats)
+    for key, values in arrays.items():
+        assert values.shape == configs.shape
+        assert values.tolist() == [
+            classify_bitstring(g, format(c, "07b"), stats)[key] for c in range(1 << g.n)
+        ]
+    # a list of bitstrings would otherwise be read as decimal integers
+    for bad in (np.array([-1]), np.array([1 << g.n]), np.array([0.5]), ["1001001"]):
+        with pytest.raises(ValueError, match="integers in"):
+            classify_bitstring(g, bad, stats)
