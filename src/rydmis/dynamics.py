@@ -8,12 +8,12 @@ two exponentials exp(-i h (w1 H(t1) + w2 H(t2))) at the Gauss-Legendre
 nodes t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Step-doubling (Richardson)
 error control accepts or shrinks each trial step.
 
-Both drives are piecewise linear in t: the Rabi trapezoid and the
-detuning table of a ``PulseSchedule``, and the interpolated coupling and
-gap of a ``TwoLevelModel``.  A kink inside a step breaks the scheme's
-4th order, and the controller then shrinks and rejects steps around
-every one of the ~1000 knots of an engineered table.  So no trial step
-crosses a knot of the drive: inside every step H(t) is linear.
+Both drives are polynomial between knots: the Rabi trapezoid and the
+detuning pieces of a ``PulseSchedule`` (``sched.knots``), and the
+interpolated coupling and gap of a ``TwoLevelModel`` (``m.times``).  A
+kink inside a step breaks the scheme's 4th order, and the controller
+then shrinks and rejects steps around it.  So no trial step crosses a
+knot of the drive.
 
 In the full evolution H depends linearly on (omega, delta), so each
 exponent is exactly H at an effective parameter pair, and its action is
@@ -92,14 +92,14 @@ class EvolveOptions:
 def _expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> np.ndarray:
     """exp(-i tau A) v for Hermitian A via a Lanczos Krylov subspace.
 
-    The basis grows by ``krylov.extend`` until the residual estimate
-    drops below tol.  Falls back to two half-interval applications if
-    m_max vectors are reached first.
+    The basis grows by ``krylov.extend`` (in a buffer of 8 rows, doubled
+    when full) until the residual estimate drops below tol.  Falls back
+    to two half-interval applications if m_max vectors are reached first.
     """
     beta0 = np.linalg.norm(v)
     if beta0 == 0.0:
         return v.copy()
-    basis = np.empty((m_max, v.size), dtype=complex)
+    basis = np.empty((min(8, m_max), v.size), dtype=complex)
     basis[0] = v / beta0
     alphas = np.empty(m_max)
     betas = np.empty(m_max)
@@ -111,6 +111,8 @@ def _expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> 
             return beta0 * (y @ basis[: j + 1])
         if j + 1 < m_max:
             betas[j] = beta
+            if j + 1 == len(basis):
+                basis = np.concatenate((basis, np.empty_like(basis[: m_max - j - 1])))
             basis[j + 1] = w / beta
     half = _expm_lanczos(matvec, v, tau / 2.0, m_max, tol / 2.0)
     return _expm_lanczos(matvec, half, tau / 2.0, m_max, tol / 2.0)
@@ -248,8 +250,7 @@ def evolve(
     mis_positions = h.basis.position_of(mis_configs)
     mis_positions = mis_positions[mis_positions >= 0]
 
-    t_r, t_end = sched.ramp_time, sched.total_time
-    knots = np.union1d(sched.delta_times, (0.0, t_r, t_end - t_r, t_end))
+    t_end, knots = sched.total_time, sched.knots
     counts: Counter = Counter()
 
     def run(local_opts: EvolveOptions, record: bool):

@@ -1,30 +1,31 @@
 """Pulse schedules: representation, synthesis, export.
 
 A schedule is a Rabi-frequency trapezoid (linear ramp up, plateau,
-linear ramp down) plus a detuning breakpoint table with linear
-interpolation.  Three synthesis routes are provided:
+linear ramp down) plus a detuning held as one piecewise polynomial, smooth
+between its ``knots``; the breakpoint table (``delta_times``,
+``delta_values``) is only an export.  Three synthesis routes are provided:
 
-* ``standard_schedule``: linear detuning sweep between the ramps;
-* ``adglb_schedule``: detuning reparameterized so that d(delta)/dt is
-  proportional to gap(t)^j within each half of the sweep, slowing the
-  sweep where the spectral gap is small (the two halves meet at the gap
-  minimum and are normalized independently, so the proportionality
-  constant differs between them);
-* ``transfer_schedule``: the polynomial approximation of the reference
-  chain's engineered sweep, re-scaled to pass through a shifted waypoint
+* ``standard_schedule``: one linear detuning piece between the ramps;
+* ``adglb_schedule``: cubic pieces on the gap-profile grid with
+  d(delta)/dt proportional to gap(t)^j within each half of the sweep,
+  slowing the sweep where the spectral gap is small (the two halves meet
+  at the gap minimum and are normalized independently, so the
+  proportionality constant differs between them);
+* ``transfer_schedule``: the two quartics of the reference chain's
+  engineered sweep, re-scaled to pass through a shifted waypoint
   detuning delta_min0 + nu_d, for carrying a schedule tuned on a small
   instance over to a harder one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 import json
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .geometry import TWO_PI, PhysicalParams, from_mhz, to_mhz
 
@@ -35,61 +36,112 @@ if TYPE_CHECKING:
 # transfer_schedule: delta_min0 = 2pi x 1.38 MHz reached at t = 3.60 us.
 TRANSFER_DELTA_MIN0 = from_mhz(1.38)
 TRANSFER_T_MIN = 3.60
+EXPORT_POINTS = 1000  # table intervals over the sweep window of a curved drive
+
+
+def _horner(coeffs, s):
+    """Polynomial at s; coeffs runs over its first axis, highest degree first."""
+    out = 0.0
+    for c in coeffs:
+        out = out * s + c
+    return out
+
+
+def _ppval(knots: np.ndarray, coeffs: np.ndarray, t):
+    """Piecewise polynomial at t; piece i covers [knots[i], knots[i+1]).
+
+    The end pieces extend beyond the knots.  A scalar t, as in the time
+    steppers' per-step calls, runs on plain floats: 0-d numpy is 3x slower.
+    """
+    i = np.searchsorted(knots[1:-1], t, side="right")
+    if np.ndim(t) == 0:
+        return _horner(coeffs[i].tolist(), float(t) - float(knots[i]))
+    return _horner(np.moveaxis(coeffs[i], -1, 0), np.asarray(t, dtype=float) - knots[i])
 
 
 @dataclass(frozen=True, eq=False)
 class PulseSchedule:
-    """Rabi trapezoid plus detuning breakpoint table on [0, T].
+    """Rabi trapezoid plus piecewise-polynomial detuning on [0, T].
 
-    Invariants checked at construction: omega(0) = omega(T) = 0 with the
-    plateau at omega0; delta continuous, constant on the ramp windows,
-    and nondecreasing up to a 0.1%-of-range waveform tolerance (the
-    transfer-schedule polynomials have a sub-0.05% seam residual at the
-    waypoint).
+    ``coeffs[i]`` holds piece i's power-basis coefficients in (t - knots[i]),
+    highest degree first.  The knots must span [0, T] and hold the ramp
+    edges; delta must be constant on the ramps, continuous and nondecreasing
+    up to a 0.1%-of-range tolerance (the transfer seam steps down 2pi x 0.0017 MHz).
     """
 
     ramp_time: float
     total_time: float
     omega0: float
-    delta_times: np.ndarray
-    delta_values: np.ndarray
+    knots: np.ndarray
+    coeffs: np.ndarray
     kind: str = "standard"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.delta_times, dtype=float)
-        v = np.asarray(self.delta_values, dtype=float)
-        object.__setattr__(self, "delta_times", t)
-        object.__setattr__(self, "delta_values", v)
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise ValueError("breakpoint table must be two equal-length 1D arrays")
+        knots = np.asarray(self.knots, dtype=float)
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.ndim != 2 or knots.shape != (len(coeffs) + 1,) or len(coeffs.T) < 2:
+            raise ValueError("need knots and a row of >= 2 coefficients per piece")
         if not (self.total_time > 2 * self.ramp_time > 0):
             raise ValueError("need T > 2*t_r > 0")
-        if abs(t[0]) > 1e-12 or abs(t[-1] - self.total_time) > 1e-9:
-            raise ValueError("breakpoints must span [0, T]")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("breakpoint times must be strictly increasing")
+        if abs(knots[0]) > 1e-12 or abs(knots[-1] - self.total_time) > 1e-9:
+            raise ValueError("knots must span [0, T]")
+        if np.any(np.diff(knots) <= 0):
+            raise ValueError("knot times must be strictly increasing")
+        if any(np.min(np.abs(knots - edge)) > 1e-12 for edge in self.sweep_window):
+            raise ValueError("knots must include the ramp edges")
+        t, v = self.delta_times, self.delta_values
+        left = _horner(coeffs.T, np.diff(knots))  # each piece's value at its last knot
         tol = max(1e-9, 1e-3 * (v.max() - v.min()))
         if np.any(np.diff(v) < -tol):
             raise ValueError("delta(t) must be nondecreasing")
-        hold_lo = v[t <= self.ramp_time + 1e-12]
+        if np.any(np.abs(left[:-1] - coeffs[1:, -1]) > tol):
+            raise ValueError("delta(t) must be continuous")
+        hold_lo = v[t <= self.ramp_time + 1e-12]  # continuity bounds the left limits too
         hold_hi = v[t >= self.total_time - self.ramp_time - 1e-12]
-        if hold_lo.size == 0 or hold_hi.size == 0:
-            raise ValueError("table must include breakpoints at the ramp edges")
         if np.max(np.abs(hold_lo - v[0])) > tol or np.max(np.abs(hold_hi - v[-1])) > tol:
             raise ValueError("delta must be constant during the Rabi ramps")
 
+    @classmethod
+    def from_table(cls, ramp_time: float, total_time: float, omega0: float,
+                   delta_times, delta_values, kind: str = "custom") -> "PulseSchedule":
+        """Piecewise-linear detuning through the breakpoints (delta_times, delta_values)."""
+        t, v = np.asarray(delta_times, dtype=float), np.asarray(delta_values, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
+            raise ValueError("breakpoint table must be two equal-length 1D arrays")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = np.diff(v) / np.diff(t)  # a repeated time is rejected by the constructor
+        return cls(ramp_time, total_time, omega0, t, np.column_stack((slopes, v[:-1])), kind)
+
     @property
     def delta_i(self) -> float:
-        return float(self.delta_values[0])
+        return self.delta(0.0)
 
     @property
     def delta_f(self) -> float:
-        return float(self.delta_values[-1])
+        return self.delta(self.total_time)
 
     @property
     def sweep_window(self) -> tuple[float, float]:
         return self.ramp_time, self.total_time - self.ramp_time
+
+    @cached_property
+    def delta_times(self) -> np.ndarray:
+        """Every knot, plus EXPORT_POINTS sweep intervals (split at t_min) if a piece is curved."""
+        if not np.any(self.coeffs[:, :-2]):
+            return self.knots
+        t_r, t_hi = self.sweep_window
+        t_min = self.meta.get("t_min", t_hi)  # no waypoint: the second part is t_hi alone
+        n_a = max(64, int(round(EXPORT_POINTS * (t_min - t_r) / (t_hi - t_r))))
+        grid = (np.linspace(t_r, t_min, n_a + 1),
+                np.linspace(t_min, t_hi, max(64, EXPORT_POINTS - n_a) + 1))
+        return np.union1d(self.knots, np.concatenate(grid))
+
+    @cached_property
+    def delta_values(self) -> np.ndarray:
+        return _ppval(self.knots, self.coeffs, self.delta_times)
 
     def omega(self, t):
         knots = [0.0, self.ramp_time, self.total_time - self.ramp_time, self.total_time]
@@ -97,37 +149,23 @@ class PulseSchedule:
 
     def omega_dot(self, t):
         """Right-hand derivative of omega (left-hand at t = T)."""
-        t = np.asarray(t, dtype=float)
-        slope_up = self.omega0 / self.ramp_time
-        out = np.zeros_like(t)
-        out = np.where(t < self.ramp_time, slope_up, out)
-        out = np.where(t >= self.total_time - self.ramp_time, -slope_up, out)
-        out = np.where(t >= self.total_time, -slope_up, out)
+        t, up = np.asarray(t, dtype=float), self.omega0 / self.ramp_time
+        out = np.where(t < self.ramp_time, up, np.where(t >= self.sweep_window[1], -up, 0.0))
         return out if out.ndim else float(out)
 
     def delta(self, t):
-        return np.interp(t, self.delta_times, self.delta_values)
+        return _ppval(self.knots, self.coeffs, t)
 
     def delta_dot(self, t):
         """Right-hand derivative of delta (left-hand at t = T)."""
-        t = np.asarray(t, dtype=float)
-        slopes = np.diff(self.delta_values) / np.diff(self.delta_times)
-        idx = np.searchsorted(self.delta_times, t, side="right") - 1
-        idx = np.clip(idx, 0, slopes.size - 1)
-        out = slopes[idx]
-        return out if out.ndim else float(out)
+        degree = self.coeffs.shape[1] - 1
+        return _ppval(self.knots, self.coeffs[:, :-1] * np.arange(degree, 0, -1), t)
 
     def with_delta_offset(self, offset: float) -> "PulseSchedule":
         """Globally shifted detuning (models a static detuning error)."""
-        return PulseSchedule(
-            ramp_time=self.ramp_time,
-            total_time=self.total_time,
-            omega0=self.omega0,
-            delta_times=self.delta_times.copy(),
-            delta_values=self.delta_values + offset,
-            kind=self.kind,
-            meta={**self.meta, "delta_offset": offset},
-        )
+        coeffs = self.coeffs.copy()
+        coeffs[:, -1] += offset
+        return replace(self, coeffs=coeffs, meta={**self.meta, "delta_offset": offset})
 
     def kind_label(self) -> str:
         if self.kind == "adglb" and "j" in self.meta:
@@ -137,30 +175,35 @@ class PulseSchedule:
         return self.kind
 
     def to_json(self) -> dict:
+        """The export table; a point at a knot also carries the coefficients
+        of the piece that starts there, so ``from_json`` rebuilds the drive."""
+        pieces = dict(zip(self.knots[:-1].tolist(), to_mhz(self.coeffs).tolist()))
+        points = []
+        for t, d in zip(self.delta_times.tolist(), self.delta_values.tolist()):
+            points.append({"t_us": t, "delta_over_2pi_MHz": to_mhz(d)})
+            if t in pieces:
+                points[-1]["poly_over_2pi_MHz"] = pieces[t]
         return {
             "t_r_us": self.ramp_time,
             "T_us": self.total_time,
             "omega0_over_2pi_MHz": to_mhz(self.omega0),
-            "points": [
-                {"t_us": float(t), "delta_over_2pi_MHz": to_mhz(float(d))}
-                for t, d in zip(self.delta_times, self.delta_values)
-            ],
+            "points": points,
             "kind": self.kind_label(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PulseSchedule":
-        pts = data["points"]
-        return cls(
-            ramp_time=float(data["t_r_us"]),
-            total_time=float(data["T_us"]),
-            omega0=from_mhz(float(data["omega0_over_2pi_MHz"])),
-            delta_times=np.array([p["t_us"] for p in pts], dtype=float),
-            delta_values=np.array(
-                [from_mhz(p["delta_over_2pi_MHz"]) for p in pts], dtype=float
-            ),
-            kind=str(data.get("kind", "custom")),
-        )
+        """Inverse of ``to_json``; a table without piece coefficients is
+        joined by straight lines."""
+        pts, t_end = data["points"], float(data["T_us"])
+        shape = (float(data["t_r_us"]), t_end, from_mhz(float(data["omega0_over_2pi_MHz"])))
+        kind = str(data.get("kind", "custom"))
+        starts = [p for p in pts if "poly_over_2pi_MHz" in p]
+        if not starts:
+            return cls.from_table(*shape, [p["t_us"] for p in pts],
+                                  from_mhz(np.array([p["delta_over_2pi_MHz"] for p in pts])), kind)
+        return cls(*shape, [p["t_us"] for p in starts] + [t_end],
+                   from_mhz(np.array([p["poly_over_2pi_MHz"] for p in starts])), kind)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
@@ -189,60 +232,48 @@ class PulseSchedule:
 def standard_schedule(p: PhysicalParams) -> PulseSchedule:
     """Three-stage schedule: Rabi ramp, linear detuning sweep, ramp down."""
     t_r, t_end = p.ramp_time, p.total_time
-    return PulseSchedule(
-        ramp_time=t_r,
-        total_time=t_end,
-        omega0=p.omega0,
-        delta_times=np.array([0.0, t_r, t_end - t_r, t_end]),
-        delta_values=np.array([p.delta_i, p.delta_i, p.delta_f, p.delta_f]),
-        kind="standard",
-    )
+    return PulseSchedule.from_table(t_r, t_end, p.omega0, [0.0, t_r, t_end - t_r, t_end],
+                                    [p.delta_i, p.delta_i, p.delta_f, p.delta_f], "standard")
 
 
-class ZetaInterpolant:
-    """Normalized gap-power time reparameterization on [t0, t1].
+def _zeta_pieces(profile: "GapProfile", j: float, t0: float, t1: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and cubic coefficients of zeta_j(t) = int_t0^t gap^j / int_t0^t1 gap^j.
 
-    zeta_j(t) = int_t0^t gap^j dt' / int_t0^t1 gap^j dt', evaluated by
-    composite trapezoid with the gap linearly interpolated between the
-    profile samples.  Strictly increasing from 0 to 1.
+    The C1 Hermite through the exact integrals of the (linearly
+    interpolated) gap^j up to each profile sample, with slopes gap^j / total.
     """
-
-    def __init__(self, profile: "GapProfile", j: float, t0: float, t1: float,
-                 resolution: int = 2048):
-        if j <= 0:
-            raise ValueError("need j > 0")
-        if not (t0 < t1):
-            raise ValueError("need t0 < t1")
-        times = np.asarray(profile.times, dtype=float)
-        gaps = np.asarray(profile.gaps, dtype=float)
-        if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
-            raise ValueError("profile does not cover the requested interval")
-        inside = times[(times > t0) & (times < t1)]
-        grid = np.union1d(np.linspace(t0, t1, resolution + 1), inside)
-        integrand = np.interp(grid, times, gaps) ** j
-        cum = cumulative_trapezoid(integrand, grid, initial=0.0)
-        if cum[-1] <= 0.0:
-            raise ValueError("gap vanishes on the whole interval")
-        self.j = j
-        self.t0 = t0
-        self.t1 = t1
-        self._grid = grid
-        self._zeta = cum / cum[-1]
-
-    def __call__(self, t):
-        return np.interp(t, self._grid, self._zeta)
+    if j <= 0:
+        raise ValueError("need j > 0")
+    if not (t0 < t1):
+        raise ValueError("need t0 < t1")
+    times, gaps = np.asarray(profile.times, dtype=float), np.asarray(profile.gaps, dtype=float)
+    if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
+        raise ValueError("profile does not cover the requested interval")
+    knots = np.concatenate(([t0], times[(times > t0) & (times < t1)], [t1]))
+    g = np.interp(knots, times, gaps)
+    h, g0, g1 = np.diff(knots), g[:-1], g[1:]
+    # the closed form cancels as g1 -> g0, where its midpoint limit is exact to O((g1 - g0)^2)
+    flat = np.abs(g1 - g0) <= 1e-6 * np.maximum(g0, g1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = np.where(flat, h * (0.5 * (g0 + g1)) ** j,
+                        h * (g1 ** (j + 1) - g0 ** (j + 1)) / ((j + 1) * (g1 - g0)))
+    cum = np.concatenate(([0.0], np.cumsum(area)))
+    if cum[-1] <= 0.0:
+        raise ValueError("gap vanishes on the whole interval")
+    slope = g**j / cum[-1]
+    secant = area / cum[-1] / h
+    c2 = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / h
+    c3 = (slope[:-1] + slope[1:] - 2.0 * secant) / h**2
+    return knots, np.column_stack((c3, c2, slope[:-1], cum[:-1] / cum[-1]))
 
 
-def zeta_interpolant(profile: "GapProfile", j: float, t0: float, t1: float) -> ZetaInterpolant:
-    return ZetaInterpolant(profile, j, t0, t1)
+def zeta_interpolant(profile: "GapProfile", j: float, t0: float, t1: float):
+    """zeta_j on [t0, t1] as a callable of t (see ``_zeta_pieces``)."""
+    return partial(_ppval, *_zeta_pieces(profile, j, t0, t1))
 
 
-def adglb_schedule(
-    p: PhysicalParams,
-    profile: "GapProfile",
-    j: float,
-    table_points: int = 1000,
-) -> PulseSchedule:
+def adglb_schedule(p: PhysicalParams, profile: "GapProfile", j: float) -> PulseSchedule:
     """Gap-guided detuning schedule through the profile's gap minimum.
 
     The sweep window splits at t_min; each half rises via its own
@@ -262,27 +293,13 @@ def adglb_schedule(
     if not (p.delta_i < d_min < p.delta_f):
         raise ValueError("waypoint detuning must lie between delta_i and delta_f")
 
-    frac = (t_min - t_r) / (t_hi - t_r)
-    n_a = max(64, int(round(table_points * frac)))
-    n_b = max(64, table_points - n_a)
-    zeta_a = ZetaInterpolant(profile, j, t_r, t_min)
-    zeta_b = ZetaInterpolant(profile, j, t_min, t_hi)
-    ts_a = np.linspace(t_r, t_min, n_a + 1)
-    ts_b = np.linspace(t_min, t_hi, n_b + 1)
-    delta_a = p.delta_i + (d_min - p.delta_i) * zeta_a(ts_a)
-    delta_b = d_min + (p.delta_f - d_min) * zeta_b(ts_b)
-
-    t_table = np.concatenate(([0.0], ts_a, ts_b[1:], [p.total_time]))
-    d_table = np.concatenate(([p.delta_i], delta_a, delta_b[1:], [p.delta_f]))
-    return PulseSchedule(
-        ramp_time=t_r,
-        total_time=p.total_time,
-        omega0=p.omega0,
-        delta_times=t_table,
-        delta_values=d_table,
-        kind="adglb",
-        meta={"j": j, "t_min": t_min, "delta_min": d_min},
-    )
+    knots_a, zeta_a = _zeta_pieces(profile, j, t_r, t_min)
+    knots_b, zeta_b = _zeta_pieces(profile, j, t_min, t_hi)
+    coeffs = np.vstack(([0, 0, 0, p.delta_i], (d_min - p.delta_i) * zeta_a + [0, 0, 0, p.delta_i],
+                        (p.delta_f - d_min) * zeta_b + [0, 0, 0, d_min], [0, 0, 0, p.delta_f]))
+    return PulseSchedule(t_r, p.total_time, p.omega0,
+                         np.concatenate(([0.0], knots_a, knots_b[1:], [p.total_time])), coeffs,
+                         kind="adglb", meta={"j": j, "t_min": t_min, "delta_min": d_min})
 
 
 @dataclass(frozen=True)
@@ -297,10 +314,10 @@ class EtaPolynomials:
     b_coeffs: tuple[float, float, float, float]
 
     def eta_a(self, s):
-        return _quartic(self.a_coeffs, s)
+        return _horner((*self.a_coeffs[::-1], 0.0), s)
 
     def eta_b(self, s):
-        return _quartic(self.b_coeffs, s)
+        return _horner((*self.b_coeffs[::-1], 0.0), s)
 
     @classmethod
     def reference(cls) -> "EtaPolynomials":
@@ -311,17 +328,10 @@ class EtaPolynomials:
         )
 
 
-def _quartic(coeffs, s):
-    s = np.asarray(s, dtype=float)
-    out = coeffs[0] * s + coeffs[1] * s**2 + coeffs[2] * s**3 + coeffs[3] * s**4
-    return out if out.ndim else float(out)
-
-
 def transfer_schedule(
     p: PhysicalParams,
     nu_d: float,
     eta: EtaPolynomials | None = None,
-    table_points: int = 1000,
 ) -> PulseSchedule:
     """Reference schedule re-aimed at waypoint delta_min0 + nu_d.
 
@@ -351,24 +361,12 @@ def transfer_schedule(
     t_r, t_hi = p.ramp_time, p.total_time - p.ramp_time
     scale_a = (d_min - p.delta_i) / (d_min0 - p.delta_i)
     scale_b = (p.delta_f - d_min) / (p.delta_f - d_min0)
-    n_a = max(64, int(round(table_points * (t_min - t_r) / (t_hi - t_r))))
-    n_b = max(64, table_points - n_a)
-    ts_a = np.linspace(t_r, t_min, n_a + 1)[:-1]
-    ts_b = np.linspace(t_min, t_hi, n_b + 1)
-    delta_a = p.delta_i + scale_a * TWO_PI * eta.eta_a(ts_a - t_r)
-    delta_b = d_min + scale_b * TWO_PI * eta.eta_b(ts_b - t_min)
-
-    t_table = np.concatenate(([0.0], ts_a, ts_b, [p.total_time]))
-    d_table = np.concatenate(([p.delta_i], delta_a, delta_b, [delta_b[-1]]))
-    return PulseSchedule(
-        ramp_time=t_r,
-        total_time=p.total_time,
-        omega0=p.omega0,
-        delta_times=t_table,
-        delta_values=d_table,
-        kind="transfer",
-        meta={"nu_d": nu_d, "t_min": t_min, "delta_min": d_min},
-    )
+    piece_a = scale_a * TWO_PI * np.array([*eta.a_coeffs[::-1], 0.0]) + [0, 0, 0, 0, p.delta_i]
+    piece_b = scale_b * TWO_PI * np.array([*eta.b_coeffs[::-1], 0.0]) + [0, 0, 0, 0, d_min]
+    d_end = _horner(piece_b, t_hi - t_min)
+    return PulseSchedule(t_r, p.total_time, p.omega0, [0.0, t_r, t_min, t_hi, p.total_time],
+                         [[0, 0, 0, 0, p.delta_i], piece_a, piece_b, [0, 0, 0, 0, d_end]],
+                         kind="transfer", meta={"nu_d": nu_d, "t_min": t_min, "delta_min": d_min})
 
 
 def fit_eta_polynomials(sched: PulseSchedule) -> EtaPolynomials:
@@ -376,21 +374,21 @@ def fit_eta_polynomials(sched: PulseSchedule) -> EtaPolynomials:
 
     Fits delta - delta_i against s = t - t_r on [t_r, t_min) and
     delta - delta_min against s = t - t_min on [t_min, T - t_r], both in
-    2pi x MHz.  The fit runs on the schedule's own delta_times knots, so
-    no interpolation bias enters and fit -> transfer_schedule -> fit is a
-    fixed point; piece a is half-open because the seam knot at t_min
-    belongs to piece b.  The schedule must carry its waypoint metadata
-    (an adglb-synthesized schedule does).
+    2pi x MHz.  The fit runs on the schedule's export table, so
+    fit -> transfer_schedule -> fit is a fixed point; piece a is
+    half-open because the seam knot at t_min belongs to piece b.  The
+    schedule must carry its waypoint metadata (an adglb-synthesized
+    schedule does).
     """
     t_min = sched.meta.get("t_min")
     d_min = sched.meta.get("delta_min")
     if t_min is None or d_min is None:
         raise ValueError("schedule carries no waypoint metadata to fit against")
     t_r, t_hi = sched.sweep_window
-    knots, values = sched.delta_times, sched.delta_values
+    times, values = sched.delta_times, sched.delta_values
 
     def fit_piece(in_piece: np.ndarray, t0: float, base: float) -> tuple[float, ...]:
-        s = knots[in_piece] - t0
+        s = times[in_piece] - t0
         y = to_mhz(values[in_piece] - base)
         design = np.stack([s, s**2, s**3, s**4], axis=1)
         coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -399,6 +397,6 @@ def fit_eta_polynomials(sched: PulseSchedule) -> EtaPolynomials:
         return tuple(float(c) for c in coeffs)
 
     return EtaPolynomials(
-        a_coeffs=fit_piece((knots >= t_r) & (knots < t_min), t_r, sched.delta_i),
-        b_coeffs=fit_piece((knots >= t_min) & (knots <= t_hi), t_min, d_min),
+        a_coeffs=fit_piece((times >= t_r) & (times < t_min), t_r, sched.delta_i),
+        b_coeffs=fit_piece((times >= t_min) & (times <= t_hi), t_min, d_min),
     )

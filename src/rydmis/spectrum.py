@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
+from .configs import bits_to_configs
 from .errors import ConvergenceError
 from .krylov import lowest_eigenpairs
 
@@ -231,12 +232,12 @@ def track_mis_overlap(
     if mode == "auto":
         mode = "single" if len(mis_states) == 1 else "superposition"
 
-    positions = []
-    for bits in mis_states:
-        pos = profile.basis.position_of(int(bits, 2))
-        if pos < 0:
-            raise ValueError(f"configuration {bits} is outside the basis")
-        positions.append(pos)
+    try:
+        positions = profile.basis.position_of(bits_to_configs(mis_states, profile.basis.n))
+    except ValueError as exc:
+        raise ValueError(f"MIS bitstring outside the basis: {exc}") from exc
+    if np.any(positions < 0):
+        raise ValueError(f"configuration {mis_states[np.argmin(positions)]} is outside the basis")
 
     if mode == "single":
         positions = positions[:1]

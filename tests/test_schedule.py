@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rydmis
 from rydmis import (
     EtaPolynomials,
     GapProfile,
@@ -48,14 +53,14 @@ def test_standard_schedule_checkpoints(params):
 def test_construction_invariants_enforced(params):
     t = np.array([0.0, 0.5, 4.5, 5.0])
     with pytest.raises(ValueError, match="nondecreasing"):
-        PulseSchedule(0.5, 5.0, params.omega0, t, np.array([1.0, 1.0, -1.0, -1.0]))
+        PulseSchedule.from_table(0.5, 5.0, params.omega0, t, np.array([1.0, 1.0, -1.0, -1.0]))
     with pytest.raises(ValueError, match="constant during"):
-        PulseSchedule(0.5, 5.0, params.omega0, t, np.array([-1.0, 1.0, 2.0, 3.0]))
+        PulseSchedule.from_table(0.5, 5.0, params.omega0, t, np.array([-1.0, 1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="span"):
-        PulseSchedule(0.5, 5.0, params.omega0, t[:-1], np.array([-1.0, -1.0, 1.0]))
+        PulseSchedule.from_table(0.5, 5.0, params.omega0, t[:-1], np.array([-1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="strictly increasing"):
-        PulseSchedule(0.5, 5.0, params.omega0,
-                      np.array([0.0, 0.5, 0.5, 5.0]), np.array([0.0, 0.0, 0.0, 0.0]))
+        PulseSchedule.from_table(0.5, 5.0, params.omega0,
+                                 np.array([0.0, 0.5, 0.5, 5.0]), np.array([0.0, 0.0, 0.0, 0.0]))
 
 
 def test_zeta_endpoints_and_constant_gap():
@@ -149,7 +154,7 @@ def test_adglb_rate_minimal_at_waypoint(params, q1d10_profile):
 
 
 def test_adglb_profile_mismatch_rejected(params, q1d10_profile):
-    other = PulseSchedule(
+    other = PulseSchedule.from_table(
         ramp_time=1.0, total_time=6.0, omega0=params.omega0,
         delta_times=np.array([0.0, 1.0, 5.0, 6.0]),
         delta_values=np.array([params.delta_i, params.delta_i,
@@ -272,3 +277,62 @@ def test_delta_offset_shift(params):
     assert np.allclose(
         np.asarray(shifted.delta(ts)) - np.asarray(sched.delta(ts)), from_mhz(0.16)
     )
+
+
+def test_transfer_drive_is_the_two_scaled_quartics(params):
+    nu_d = from_mhz(0.2)
+    sched = transfer_schedule(params, nu_d)
+    t_r, t_hi, t_end = params.ramp_time, params.total_time - params.ramp_time, params.total_time
+    assert set(sched.knots.tolist()) <= {0.0, t_r, 3.60, t_hi, t_end}
+    eta = EtaPolynomials.reference()
+    d_min = from_mhz(1.38) + nu_d
+    scale_a = (d_min - params.delta_i) / (from_mhz(1.38) - params.delta_i)
+    scale_b = (params.delta_f - d_min) / (params.delta_f - from_mhz(1.38))
+    rng = np.random.default_rng(3)
+    ts = rng.uniform(t_r, 3.60, 1000)
+    expected = params.delta_i + scale_a * from_mhz(eta.eta_a(ts - t_r))
+    np.testing.assert_allclose(sched.delta(ts), expected, rtol=0.0, atol=1e-12)
+    ts = rng.uniform(3.60, t_hi, 1000)
+    expected = d_min + scale_b * from_mhz(eta.eta_b(ts - 3.60))
+    np.testing.assert_allclose(sched.delta(ts), expected, rtol=0.0, atol=1e-12)
+
+
+def test_adglb_rate_at_profile_nodes_is_gap_power_over_its_integral(params, q1d10_profile):
+    # the gap is linear between profile samples; 16-point Gauss-Legendre
+    # integrates its j-th power on each interval to rounding
+    x, w = np.polynomial.legendre.leggauss(16)
+    t_r, t_hi = params.ramp_time, params.total_time - params.ramp_time
+    t_min, d_min = q1d10_profile.t_min, q1d10_profile.delta_min
+    times, gaps = q1d10_profile.times, q1d10_profile.gaps
+    for j in (1.0, 1.5, 1.8, 2.0):
+        sched = adglb_schedule(params, q1d10_profile, j)
+        for t0, t1, rise in ((t_r, t_min, d_min - params.delta_i),
+                             (t_min, t_hi, params.delta_f - d_min)):
+            nodes = times[(times >= t0) & (times <= t1)]
+            a, b = nodes[:-1, None], nodes[1:, None]
+            ts = 0.5 * (a + b) + 0.5 * (b - a) * x
+            total = np.sum(0.5 * (b - a) * (np.interp(ts, times, gaps) ** j @ w[:, None]))
+            expected = rise * gaps[(times >= t0) & (times < t1)] ** j / total
+            np.testing.assert_allclose(sched.delta_dot(nodes[:-1]), expected, rtol=1e-12)
+
+
+def test_table_without_piece_coefficients_loads_as_straight_lines(params):
+    data = transfer_schedule(params, 0.0).to_json()
+    for point in data["points"]:
+        point.pop("poly_over_2pi_MHz", None)
+    loaded = PulseSchedule.from_json(data)
+    table_t = np.array([p["t_us"] for p in data["points"]])
+    table_d = from_mhz(np.array([p["delta_over_2pi_MHz"] for p in data["points"]]))
+    assert np.array_equal(loaded.knots, table_t)
+    ts = np.linspace(0, params.total_time, 257)
+    np.testing.assert_allclose(loaded.delta(ts), np.interp(ts, table_t, table_d),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_import_loads_neither_scipy_integrate_nor_interpolate():
+    code = ("import sys, rydmis; "
+            "print(sorted({'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)))")
+    src = str(Path(rydmis.__file__).parents[1])  # import this checkout, not an installed copy
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

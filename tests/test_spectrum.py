@@ -224,6 +224,10 @@ def test_overlap_series_endpoints(params):
     assert o0[0] < 0.01             # ground state is all-g at delta_i
     assert o0[-1] >= 1.0 - 1e-6     # and exactly the MIS at t = T
     assert np.all((o0 >= 0) & (o0 <= 1 + 1e-12))
+    # a wrong length or a non-binary character names no 7-atom configuration
+    for bad in (["1"], ["00000001"], ["0000002"]):
+        with pytest.raises(ValueError, match="outside the basis"):
+            track_mis_overlap(profile, bad)
 
 
 def test_overlap_manifold_mode(params):
