@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dstev
 
-from .configs import bits_to_configs
+from .configs import bits_to_configs, configs_to_bits
 from .errors import ConvergenceError
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble, hamiltonian_time_derivative
 from .isets import count_isets, mis_projector_support
@@ -50,6 +50,13 @@ _GL_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 _CF4_W1 = (3.0 + 2.0 * _SQRT3) / 12.0
 _CF4_W2 = (3.0 - 2.0 * _SQRT3) / 12.0
 KNOT_TOL = 1e-12  # us: a knot this close ahead of t counts as reached
+MAX_STEP = 0.05  # us, evolve's step cap (halved by the convergence check)
+MIN_STEP = 1e-9  # us: a rejected step below this raises ConvergenceError
+KRYLOV_DIM = 48  # Krylov vectors before an exponential splits its interval
+DEGENERACY_TOL = 1e-6  # rad/us: diagonal entries this close form the ground space
+TWO_LEVEL_TOL = 1e-8  # evolve_two_level's local error tolerance
+TWO_LEVEL_MAX_STEP = 0.01  # us
+TWO_LEVEL_MIN_STEP = 1e-12  # us
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +68,27 @@ class QuantumState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+    def to_json(self) -> dict:
+        """The nonzero amplitudes as (bits, re, im) entries, in basis order."""
+        keep = np.abs(self.amplitudes) > 0.0
+        bits = configs_to_bits(self.basis.states[keep], self.basis.n)
+        entries = [{"bits": b, "re": float(a.real), "im": float(a.imag)}
+                   for b, a in zip(bits, self.amplitudes[keep])]
+        return {"n": self.basis.n, "kind": self.basis.kind, "entries": entries}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "QuantumState":
+        """State of a to_json dict, whose entries may come in any order."""
+        n, entries = int(data["n"]), data["entries"]
+        configs = bits_to_configs([e["bits"] for e in entries], n)
+        states, first, counts = np.unique(configs, return_index=True, return_counts=True)
+        if np.any(counts > 1):
+            bits = configs_to_bits(states[counts > 1][:1], n)[0]
+            raise ValueError(f"state file lists configuration {bits} more than once")
+        amps = np.array([complex(e["re"], e["im"]) for e in entries])
+        basis = BasisSet(kind=str(data.get("kind", "custom")), n=n, states=states)
+        return cls(basis=basis, amplitudes=amps[first])
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +108,8 @@ class EvolutionResult:
 class EvolveOptions:
     n_output: int = 200
     local_tol: float = 2e-9
-    max_step: float = 0.05
-    min_step: float = 1e-9
-    krylov_dim: int = 48
     convergence_check: bool = True
     convergence_tol: float = 1e-6
-    degeneracy_tol: float = 1e-6
     track_projections: bool = True
 
 
@@ -136,7 +160,6 @@ def _cf4_step(
     t: float,
     dt: float,
     psi: np.ndarray,
-    krylov_dim: int,
     exp_tol: float,
     counts: Counter,
 ) -> np.ndarray:
@@ -156,7 +179,7 @@ def _cf4_step(
             counts["matvecs"] += 1
             return h.matvec(om, de, x)
 
-        psi = _expm_lanczos(matvec, psi, dt / 2.0, krylov_dim, exp_tol)
+        psi = _expm_lanczos(matvec, psi, dt / 2.0, KRYLOV_DIM, exp_tol)
     counts["exponentials"] += 2
     return psi
 
@@ -211,7 +234,6 @@ def _ground_projection(
     omega: float,
     delta: float,
     psi: np.ndarray,
-    deg_tol: float,
     warm: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Population on the (possibly degenerate) instantaneous ground space.
@@ -221,7 +243,7 @@ def _ground_projection(
     """
     if omega == 0.0:
         diag = delta * h.zdiag + h.udiag
-        ground = diag <= diag.min() + deg_tol
+        ground = diag <= diag.min() + DEGENERACY_TOL
         return float(np.sum(np.abs(psi[ground]) ** 2)), None
     _, _, v0, _ = eigenpairs_lowest2(assemble(h, omega, delta), v0=warm)
     return float(abs(np.vdot(v0, psi)) ** 2), v0
@@ -245,57 +267,50 @@ def evolve(
     if pos0 < 0:
         raise ValueError("basis does not contain the all-ground configuration")
 
-    stats = count_isets(h.graph)
-    mis_configs = bits_to_configs(mis_projector_support(h.graph, stats), h.graph.n)
+    mis_bits = mis_projector_support(h.graph, count_isets(h.graph))
+    mis_configs = bits_to_configs(mis_bits, h.graph.n)
     mis_positions = h.basis.position_of(mis_configs)
     mis_positions = mis_positions[mis_positions >= 0]
 
     t_end, knots = sched.total_time, sched.knots
     counts: Counter = Counter()
 
-    def run(local_opts: EvolveOptions, record: bool):
-        exp_tol = local_opts.local_tol / 10.0
+    def run(n_output: int, local_tol: float, max_step: float, record: bool):
+        exp_tol = local_tol / 10.0
 
         def step(t: float, dt: float, psi: np.ndarray) -> np.ndarray:
-            return _cf4_step(h, sched, t, dt, psi, local_opts.krylov_dim, exp_tol, counts)
+            return _cf4_step(h, sched, t, dt, psi, exp_tol, counts)
 
-        times = np.linspace(0.0, t_end, local_opts.n_output)
+        times = np.linspace(0.0, t_end, n_output)
         psi = np.zeros(h.dim, dtype=complex)
         psi[pos0] = 1.0
-        p_e0 = np.empty(times.size)
-        p_mis = np.empty(times.size)
-        dt_hint = local_opts.max_step
+        p_e0 = np.full(times.size, np.nan)  # nan where not recorded
+        p_mis = np.full(times.size, np.nan)
+        dt_hint = max_step
         ground = None  # ground vector at the previous output time
         for i, t_out in enumerate(times):
             if i > 0:
                 psi, dt_hint = _step_doubling(
-                    step, psi, (times[i - 1], t_out), knots, local_opts.local_tol,
-                    local_opts.max_step, local_opts.min_step, dt_hint, counts,
+                    step, psi, (times[i - 1], t_out), knots, local_tol,
+                    max_step, MIN_STEP, dt_hint, counts,
                 )
-            if record and local_opts.track_projections:
+            if record:
                 p_e0[i], ground = _ground_projection(
-                    h, float(sched.omega(t_out)), float(sched.delta(t_out)),
-                    psi, local_opts.degeneracy_tol, ground,
+                    h, float(sched.omega(t_out)), float(sched.delta(t_out)), psi, ground
                 )
                 p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
         final_p_e0, _ = _ground_projection(
-            h, float(sched.omega(times[-1])), float(sched.delta(times[-1])),
-            psi, local_opts.degeneracy_tol, ground,
+            h, float(sched.omega(times[-1])), float(sched.delta(times[-1])), psi, ground
         )
         return times, psi, p_e0, p_mis, final_p_e0
 
-    times, psi, p_e0, p_mis, final_p_e0 = run(opts, record=True)
+    times, psi, p_e0, p_mis, final_p_e0 = run(
+        opts.n_output, opts.local_tol, MAX_STEP, opts.track_projections
+    )
 
     check_delta = None
     if opts.convergence_check:
-        check_opts = replace(
-            opts,
-            max_step=opts.max_step / 2.0,
-            local_tol=opts.local_tol / 4.0,
-            track_projections=False,
-            n_output=2,
-        )
-        _, _, _, _, final_check = run(check_opts, record=False)
+        _, _, _, _, final_check = run(2, opts.local_tol / 4.0, MAX_STEP / 2.0, False)
         check_delta = abs(final_check - final_p_e0)
     logger.debug(
         "evolve dim %d, %d knots, %d run(s): %d accepted and %d rejected steps, "
@@ -311,8 +326,6 @@ def evolve(
         )
 
     if not opts.track_projections:
-        p_e0 = np.full(times.size, np.nan)
-        p_mis = np.full(times.size, np.nan)
         p_e0[-1] = final_p_e0
     final_p_mis = float(np.sum(np.abs(psi[mis_positions]) ** 2))
     return EvolutionResult(
@@ -364,13 +377,7 @@ def build_two_level_model(
     return TwoLevelModel(times=times.copy(), coupling=coupling, gap=profile.gaps.copy())
 
 
-def evolve_two_level(
-    m: TwoLevelModel,
-    n_output: int = 400,
-    local_tol: float = 1e-8,
-    max_step: float = 0.01,
-    min_step: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
+def evolve_two_level(m: TwoLevelModel, n_output: int = 400) -> tuple[np.ndarray, np.ndarray]:
     """Leakage P_E1(t) of the two-level model from (c0, c1) = (1, 0).
 
     Runs on the same step-doubling loop and commutator-free step as the
@@ -411,11 +418,12 @@ def evolve_two_level(
     c = np.array([1.0 + 0.0j, 0.0j])
     p_e1 = np.empty(times.size)
     p_e1[0] = 0.0
-    dt = max_step
+    dt = TWO_LEVEL_MAX_STEP
     counts: Counter = Counter()
     for i in range(1, times.size):
         c, dt = _step_doubling(
-            step, c, (times[i - 1], times[i]), knots, local_tol, max_step, min_step, dt, counts
+            step, c, (times[i - 1], times[i]), knots, TWO_LEVEL_TOL, TWO_LEVEL_MAX_STEP,
+            TWO_LEVEL_MIN_STEP, dt, counts,
         )
         p_e1[i] = float(abs(c[1]) ** 2)
     return times, p_e1

@@ -67,12 +67,12 @@ class PhysicalParams:
     @classmethod
     def from_mhz(
         cls,
-        c6_mhz_um6: float,
-        omega0_mhz: float,
-        delta_i_mhz: float,
-        delta_f_mhz: float,
-        total_time_us: float,
-        ramp_time_us: float,
+        c6_mhz_um6: float = 863_000.0,
+        omega0_mhz: float = 1.0,
+        delta_i_mhz: float = -2.5,
+        delta_f_mhz: float = 2.5,
+        total_time_us: float = 5.0,
+        ramp_time_us: float = 0.5,
     ) -> "PhysicalParams":
         return cls(
             c6=from_mhz(c6_mhz_um6),
@@ -90,14 +90,7 @@ class PhysicalParams:
         C6 = 2pi x 863 GHz um^6, Omega0 = 2pi x 1 MHz, detuning swept
         2pi x (-2.5 .. +2.5) MHz over T = 5 us with 0.5 us Rabi ramps.
         """
-        return cls.from_mhz(
-            c6_mhz_um6=863_000.0,
-            omega0_mhz=1.0,
-            delta_i_mhz=-2.5,
-            delta_f_mhz=2.5,
-            total_time_us=5.0,
-            ramp_time_us=0.5,
-        )
+        return cls.from_mhz()
 
     @property
     def blockade_radius(self) -> float:

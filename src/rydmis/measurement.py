@@ -10,7 +10,7 @@ sets, other independent sets, and blockade-violating strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class ShotHistogram:
     p_mis: float | None = None
     p_mis_minus_1: float | None = None
 
-    def probability(self, bits: str) -> float:
-        return self.counts.get(bits, 0) / self.n_shots
-
 
 def sample_shots(
     state,
@@ -63,6 +60,8 @@ def sample_shots(
     Deterministic for a fixed seed (PCG64).  With a SpamModel, each bit
     is flipped independently through the asymmetric readout channel.
     """
+    if n_shots < 1:
+        raise ValueError(f"need at least one shot, got {n_shots}")
     amps = np.asarray(state.amplitudes)
     probs = np.abs(amps) ** 2
     total = probs.sum()
@@ -137,10 +136,7 @@ def histogram_report(h: ShotHistogram, g: BlockadeGraph) -> dict:
     return {
         "n_shots": h.n_shots,
         "seed": h.seed,
-        "spam": None if h.spam is None else {
-            "p_g_given_r": h.spam.p_g_given_r,
-            "p_r_given_g": h.spam.p_r_given_g,
-        },
+        "spam": None if h.spam is None else asdict(h.spam),
         "mis_size": stats.mis_size,
         "class_counts": class_counts,
         "class_probabilities": {

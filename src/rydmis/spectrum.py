@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     from .schedule import PulseSchedule
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+REFINE_TOL = 1e-3  # us, width of the golden-section bracket around the gap minimum
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +49,6 @@ class GapProfile:
     basis: "BasisSet | None" = field(repr=False, default=None)
     vecs0: np.ndarray | None = field(repr=False, default=None)
     vecs1: np.ndarray | None = field(repr=False, default=None)
-
-    def gap_at(self, t):
-        return np.interp(t, self.times, self.gaps)
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -109,13 +107,12 @@ def scan_gap(
     sched: "PulseSchedule",
     n_samples: int = 200,
     store_vectors: bool = True,
-    refine_tol: float = 1e-3,
     t_span: tuple[float, float] | None = None,
 ) -> GapProfile:
     """Gap profile over the sweep window [t_r, T - t_r] (or t_span).
 
     After the uniform scan the bracket around the smallest sampled gap is
-    refined by golden section to |dt| < refine_tol and the refined point
+    refined by golden section to |dt| < REFINE_TOL and the refined point
     is inserted into the sample arrays.
     """
     if n_samples < 16:
@@ -171,7 +168,7 @@ def scan_gap(
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    while (b - a) > refine_tol:
+    while (b - a) > REFINE_TOL:
         gap_c = probe(c)[1] - probe(c)[0]
         gap_d = probe(d)[1] - probe(d)[0]
         if gap_c < gap_d:

@@ -1,9 +1,17 @@
+import csv
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from rydmis import PulseSchedule
 from rydmis.cli import main, verify_manifest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +71,132 @@ def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
     assert _sample(bad, tmp_path / "out.json") == 1
     message = {"duplicate": "more than once", "length": "length", "non_binary": "0 and 1"}
     assert message[defect] in capsys.readouterr().err
+
+
+def _csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows and all(len(row) == len(header) for row in rows)
+    return header, rows
+
+
+GAP_HEADER = ["t_us", "delta_over_2pi_MHz", "e0", "e1", "gap"]
+
+
+@pytest.mark.parametrize("schedule", ["std", "adglb"])
+def test_gap_writes_the_profile(tmp_path, capsys, schedule):
+    out = tmp_path / "gap.csv"
+    assert main(["gap", "--instance", "Q1D_4", "--schedule", schedule, "--samples", "20",
+                 "--out", str(out)]) == 0
+    header, rows = _csv(out)
+    assert header == GAP_HEADER
+    assert len(rows) in (20, 21)  # the refined minimum is inserted unless it is a sample
+    assert "gap minimum: t_min =" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["std", "adglb", "transfer"])
+def test_design_saves_a_loadable_schedule(tmp_path, method):
+    out = tmp_path / "sched.json"
+    assert main(["design", "--instance", "Q1D_4", "--method", method, "--samples", "20",
+                 "--out", str(out)]) == 0
+    sched = PulseSchedule.load(out)
+    labels = {"std": "standard", "adglb": "adglb(j=1.8)", "transfer": "transfer(nu_d_mhz=0)"}
+    assert sched.kind == labels[method]
+    assert sched.total_time == 5.0
+
+
+def test_evolve_writes_series_and_state(tmp_path):
+    out, state = tmp_path / "evo.csv", tmp_path / "state.json"
+    assert main(["evolve", "--instance", "Q1D_4", "--n-output", "7", "--out", str(out),
+                 "--state-out", str(state)]) == 0
+    header, rows = _csv(out)
+    assert header == ["t_us", "p_e0", "p_leak", "mis_overlap"]
+    assert len(rows) == 7 and float(rows[-1][0]) == 5.0
+    data = json.loads(state.read_text())
+    assert data["n"] == 4 and data["kind"] == "full"
+    assert sum(e["re"] ** 2 + e["im"] ** 2 for e in data["entries"]) == pytest.approx(1.0)
+
+
+def test_twolevel_writes_the_leakage_series(tmp_path):
+    out = tmp_path / "two.csv"
+    assert main(["twolevel", "--instance", "Q1D_4", "--samples", "20", "--out", str(out)]) == 0
+    header, rows = _csv(out)
+    assert header == ["t_us", "gap", "coupling", "p_e1"]
+    assert len(rows) == 400 and float(rows[0][3]) == 0.0
+
+
+def test_isets_prints_the_census(capsys):
+    assert main(["isets", "--instance", "Q1D_7", "--min-size", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 7 and out["mis_size"] == 3
+    assert min(map(int, out["r"])) == 2
+
+
+def test_export_ahs_writes_hardware_programs(tmp_path):
+    sched = tmp_path / "sched.json"
+    assert main(["design", "--instance", "Q1D_4", "--method", "adglb", "--samples", "20",
+                 "--out", str(sched)]) == 0
+    for spec in ("std", "transfer", str(sched)):
+        out = tmp_path / "ahs.json"
+        assert main(["export-ahs", "--schedule", spec, "--out", str(out)]) == 0
+        program = json.loads(out.read_text())
+        assert program and all(isinstance(key, str) for key in program)
+
+
+def test_export_ahs_adglb_points_to_design(tmp_path, capsys):
+    assert main(["export-ahs", "--schedule", "adglb", "--out", str(tmp_path / "a.json")]) == 1
+    assert "rydmis design" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()
+
+
+@pytest.mark.parametrize("instance", [["--instance", "Q1D_4"], []],
+                         ids=["with-instance", "without-instance"])
+def test_sample_rejects_zero_shots(pipeline_dir, tmp_path, capsys, instance):
+    out = tmp_path / "shots.json"
+    code = main(["sample", "--state", str(pipeline_dir / "state.json"), "--shots", "0",
+                 "--out", str(out), *instance])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "shot" in err
+    assert not out.exists()
+
+
+def test_reproduce_fig2(tmp_path, capsys):
+    assert main(["reproduce", "--figure", "fig2", "--out-dir", str(tmp_path)]) == 0
+    header, rows = _csv(tmp_path / "fig2_overlap.csv")
+    assert header == ["t_us", "overlap_e0", "overlap_e1"]
+    assert len(rows) in (240, 241)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and all(line.startswith("[PASS]") for line in printed)
+
+
+def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": "Q1D_4", "method": "adglb", "j_grid": [1.0, 2.0],
+                                  "samples": 20, "n_output": 5, "shots": 20}))
+    manifests = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["pipeline", "--config", str(config), "--jobs", jobs,
+                     "--out-dir", str(out)]) == 0
+        assert verify_manifest(out)
+        assert sorted(p.name for p in out.glob("gap*.csv")) == ["gap.csv"]
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[0] == manifests[1]
+    runs = manifests[0]["runs"]
+    assert [r["tag"] for r in runs] == ["_j1", "_j2"]
+    assert all(r["artifacts"]["gap_csv"] == "gap.csv" for r in runs)
+    assert runs[0]["final_p_e0"] != runs[1]["final_p_e0"]
+
+
+SUBCOMMANDS = ("isets", "gap", "design", "evolve", "twolevel", "sample", "pipeline",
+               "reproduce", "export-ahs")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help_exits_0(command):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "rydmis.cli", command, "--help"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"usage: rydmis {command}")
