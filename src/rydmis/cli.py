@@ -94,11 +94,36 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
+        """The config of a JSON file, each value read as its default's type.
+
+        A number or string field parses the value's text as its flag
+        would; a bool field takes true or false; ``j_grid`` takes a list
+        of numbers.  Raises ValueError for a field or value it cannot read.
+        """
         data = json.loads(Path(path).read_text())
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
+        base = cls()
+        return cls(**{key: _coerce(key, value, getattr(base, key)) for key, value in data.items()})
+
+
+def _coerce(key: str, value, default):
+    kind = type(default)
+    try:
+        if kind is list:
+            if not isinstance(value, list):
+                raise TypeError
+            return [float(str(item)) for item in value]
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise TypeError
+            return value
+        return kind(str(value))
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"config field {key!r}: cannot read {value!r} as {kind.__name__}"
+        ) from None
 
 
 class Run:

@@ -40,7 +40,13 @@ def bits_to_configs(bits: Sequence[str], n: int) -> np.ndarray:
     return digits @ _place_values(n)
 
 
+def occupancy(configs: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(configs), n) array: entry [s, v] is True when atom v+1
+    of configuration s is in the Rydberg state."""
+    return (np.asarray(configs, dtype=np.int64)[:, None] & _place_values(n)) != 0
+
+
 def configs_to_bits(configs: np.ndarray, n: int) -> list[str]:
     """n-character bitstrings of an array of configurations."""
-    digits = (np.asarray(configs, dtype=np.int64)[:, None] & _place_values(n)) != 0
+    digits = occupancy(configs, n)
     return (digits.astype(np.uint8) + _ZERO).view(f"S{n}").ravel().astype(str).tolist()

@@ -18,7 +18,7 @@ knot of the drive.
 In the full evolution H depends linearly on (omega, delta), so each
 exponent is exactly H at an effective parameter pair, and its action is
 the Krylov exponential of ``_expm_lanczos``, whose basis grows by the
-same block-CGS2 step (``krylov.extend``) as the eigensolver's.  A run is
+same Gram-Schmidt step (``krylov.extend``) as the eigensolver's.  A run is
 reported only after halving the step cap reproduces the final
 ground-state population to the convergence tolerance; its cost (steps,
 Krylov exponentials, matvecs) and that check's delta go to one DEBUG

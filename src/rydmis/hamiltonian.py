@@ -14,7 +14,9 @@ Rydberg state.  Two interaction modes:
 
 omega and delta enter linearly, so the matrix is cached as one
 off-diagonal bit-flip pattern plus two diagonal vectors and re-weighted
-per (omega, delta) query.
+per (omega, delta) query.  The interaction diagonal ``udiag`` is
+sum_(u<v) u_uv n_u n_v per state, built as occupancy rows times the
+pair-energy matrix, UDIAG_CHUNK states at a time.
 
 A basis is one strictly ascending int64 array of configurations
 (``BasisSet.states``).  Positions in it are found by binary search, so
@@ -25,18 +27,21 @@ here loops over basis states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
+from scipy.sparse._sparsetools import csr_matvec
 
-from .configs import atom_bit, configs_to_bits
+from .configs import atom_bit, configs_to_bits, occupancy
 from .errors import DimensionLimitError
 from .geometry import BlockadeGraph
 from .schedule import PulseSchedule
 
 FULL_BASIS_MAX_ATOMS = 24
 BLOCKADE_BASIS_MAX_STATES = 1 << 24
+UDIAG_CHUNK = 1 << 15  # states per occupancy block when building udiag
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,26 +122,40 @@ class HamiltonianTerms:
     def dim(self) -> int:
         return self.basis.dim
 
+    @cached_property
+    def _sx_data_complex(self) -> np.ndarray:
+        # csr_matvec would otherwise upcast sx.data on every complex call
+        return self.sx.data.astype(complex)
+
     def matvec(self, omega: float, delta: float, psi: np.ndarray) -> np.ndarray:
-        return omega * (self.sx @ psi) + (delta * self.zdiag + self.udiag) * psi
+        """H(omega, delta) psi as a new array.
+
+        The output starts as the diagonal part and one CSR kernel call
+        adds sx (omega psi) into it.
+        """
+        data = self._sx_data_complex if np.iscomplexobj(psi) else self.sx.data
+        out = (delta * self.zdiag + self.udiag) * psi
+        csr_matvec(self.dim, self.dim, self.sx.indptr, self.sx.indices, data, omega * psi, out)
+        return out
 
 
-def _pair_energies(g: BlockadeGraph, interaction: str) -> list[tuple[int, int, float]]:
+def _pair_energies(g: BlockadeGraph, interaction: str) -> np.ndarray:
+    """n x n matrix holding u_uv above the diagonal (u < v), zero elsewhere."""
+    energies = np.zeros((g.n, g.n))
     if interaction == "constant":
-        return [(u, v, g.u_per_edge) for u, v in g.edges]
+        for u, v in g.edges:
+            energies[min(u, v), max(u, v)] = g.u_per_edge
+        return energies
     if interaction == "tails":
         if len(g.positions) != g.n or g.c6 <= 0:
             raise ValueError(
                 "graph carries no geometry; tails mode needs positions and C6"
             )
-        out = []
-        for u in range(g.n):
-            xu, yu = g.positions[u]
-            for v in range(u + 1, g.n):
-                xv, yv = g.positions[v]
-                r2 = (xu - xv) ** 2 + (yu - yv) ** 2
-                out.append((u, v, g.c6 / r2**3))
-        return out
+        xy = np.asarray(g.positions, dtype=float)
+        upper = np.triu_indices(g.n, 1)
+        r2 = np.sum((xy[upper[0]] - xy[upper[1]]) ** 2, axis=1)
+        energies[upper] = g.c6 / r2**3
+        return energies
     raise ValueError(f"unknown interaction mode {interaction!r}")
 
 
@@ -163,10 +182,11 @@ def hamiltonian_terms(
 
     zdiag = n / 2.0 - np.bitwise_count(states)
 
-    udiag = np.zeros(dim)
-    for u, v, energy in _pair_energies(g, interaction):
-        mask = atom_bit(n, u) | atom_bit(n, v)
-        udiag += energy * ((states & mask) == mask)
+    energies = _pair_energies(g, interaction)
+    udiag = np.empty(dim)
+    for lo in range(0, dim, UDIAG_CHUNK):
+        occ = occupancy(states[lo : lo + UDIAG_CHUNK], n).astype(float)
+        udiag[lo : lo + UDIAG_CHUNK] = np.einsum("si,si->s", occ @ energies, occ)
 
     return HamiltonianTerms(
         graph=g, basis=basis, interaction=interaction, sx=sx, zdiag=zdiag, udiag=udiag

@@ -1,16 +1,22 @@
-"""One Lanczos kernel: block-CGS2 extension of a row-major Krylov basis.
+"""One Lanczos kernel: Gram-Schmidt extension of a row-major Krylov basis.
 
-``extend`` is the only place a Krylov basis grows.  It serves two solvers:
+``_orthogonalize`` is the one Gram-Schmidt step, and every Krylov basis
+grows through it.  It serves two solvers:
 
 - ``lowest_eigenpairs``, thick-restart Lanczos (Wu & Simon, SIAM J.
   Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a Hermitian
   operator, used by ``spectrum.eigenpairs_lowest2``;
 - ``dynamics._expm_lanczos``, the Krylov exponential exp(-i tau A) v
-  (Saad, SIAM J. Numer. Anal. 29, 1992).
+  (Saad, SIAM J. Numer. Anal. 29, 1992), through ``extend``.
 
-The basis is stored row by row (``basis[j]`` is the j-th vector), so
-each Gram-Schmidt pass is two matrix-vector products over the whole
-basis.  Two passes (CGS2) keep it orthonormal to working precision.
+The basis is stored row by row (``basis[j]`` is the j-th vector).  A
+step first projects out the last two rows, which hold the large
+three-term Lanczos components of A basis[j] and cost two short passes.
+One classical Gram-Schmidt pass over the whole basis follows, as the
+conjugate of a product with conj(w), so the block itself is never
+copied.  A second full pass runs only when that pass cancels most of w:
+the test of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976)
+repeats it when ||w|| falls below DGKS_RATIO of its norm before the pass.
 """
 
 from __future__ import annotations
@@ -31,18 +37,34 @@ START_MIX = 1e-3  # weight of the random component mixed into a given start vect
 START_SEED = 20000  # seed of that component, so every solve is reproducible
 BREAKDOWN = 1e-12  # ||w|| / ||A v|| below which the Krylov space is invariant
 ROTATE_CHUNK = 8192  # columns rotated at a time when restarting
+DGKS_RATIO = 1 / np.sqrt(2)  # norm kept by a full pass below which it is repeated
 
 
-def _orthogonalize(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Remove span(q) from w in place by two classical Gram-Schmidt passes.
-
-    Returns the summed coefficients q^H w of the two passes.
-    """
-    c = q.conj() @ w
+def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass: subtract from w, in place, its
+    components along the rows of q, and return them (q^H w)."""
+    c = (q @ w.conj()).conj()
     w -= c @ q
-    d = q.conj() @ w
-    w -= d @ q
-    return c + d
+    return c
+
+
+def _orthogonalize(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Remove span(q) from w in place: the last two rows, then all of q.
+
+    The full pass is repeated when it leaves w with less than DGKS_RATIO
+    of its norm.  Returns the summed coefficients q^H w, the final ||w||
+    and whether the repeat ran.
+    """
+    local = _project_out(q[-2:], w)
+    before = np.vdot(w, w).real  # squared norms: vdot costs less than linalg.norm
+    c = _project_out(q, w)
+    after = np.vdot(w, w).real
+    repeated = bool(after < DGKS_RATIO**2 * before)
+    if repeated:
+        c += _project_out(q, w)
+        after = np.vdot(w, w).real
+    c[-2:] += local
+    return c, float(np.sqrt(after)), repeated
 
 
 def extend(
@@ -55,8 +77,8 @@ def extend(
     norm beta.  The caller stores w / beta as basis[j+1].
     """
     w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
-    c = _orthogonalize(basis[: j + 1], w)
-    return c, w, float(np.linalg.norm(w))
+    c, beta, _ = _orthogonalize(basis[: j + 1], w)
+    return c, w, beta
 
 
 def _start_vector(dim: int, v0: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
@@ -116,22 +138,25 @@ def lowest_eigenpairs(
     basis = np.empty((m + 1, dim), dtype=np.result_type(dtype, start.dtype))
     basis[0] = start / np.linalg.norm(start)
     proj = np.zeros((m, m))  # real: alphas, betas and arrow couplings are real
-    k = matvecs = restarts = 0
+    k = matvecs = restarts = repeats = 0
     anorm = 0.0
     while True:
         n = min(m, k + max_matvecs - matvecs)
         beta = 0.0
         for j in range(k, n):
-            c, w, beta = extend(matvec, basis, j)
+            w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
+            c, beta, repeated = _orthogonalize(basis[: j + 1], w)
             matvecs += 1
+            repeats += repeated
             proj[j, j] = c[j].real
             if beta <= BREAKDOWN * np.hypot(np.linalg.norm(c), beta):
                 beta = 0.0
                 if j + 1 == dim:
                     break
                 w = rng.standard_normal(dim).astype(basis.dtype)
-                _orthogonalize(basis[: j + 1], w)
-                w /= np.linalg.norm(w)
+                _, norm, repeated = _orthogonalize(basis[: j + 1], w)
+                repeats += repeated
+                w /= norm
             else:
                 w /= beta
             if j + 1 < m:
@@ -155,7 +180,8 @@ def lowest_eigenpairs(
         proj[k, :k] = proj[:k, k] = beta * y[n - 1, :k]
         restarts += 1
     logger.debug(
-        "Lanczos dim %d: %d matvecs, %d restarts, residual %.3e",
-        dim, matvecs, restarts, residual,
+        "Lanczos dim %d: %d matvecs, %d restarts, %d second Gram-Schmidt passes, "
+        "residual %.3e",
+        dim, matvecs, restarts, repeats, residual,
     )
     return theta[:n_eig], y[:, :n_eig].T @ basis[:n]

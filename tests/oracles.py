@@ -100,3 +100,16 @@ def oracle_dense_hamiltonian(positions, c6, omega, delta):
             d = math.dist(positions[i], positions[j])
             h += (c6 / d**6) * site(nop, i) @ site(nop, j)
     return h
+
+
+def oracle_interaction_diagonal(positions, c6, configs):
+    """Sum of C6 / r^6 over the atom pairs both excited in each
+    configuration (atom 1 most significant), one pass per pair."""
+    n = len(positions)
+    configs = np.asarray(configs, dtype=np.int64)
+    out = np.zeros(configs.size)
+    for i in range(n):
+        for j in range(i + 1, n):
+            both = (configs >> (n - 1 - i)) & (configs >> (n - 1 - j)) & 1
+            out += c6 / math.dist(positions[i], positions[j]) ** 6 * both
+    return out

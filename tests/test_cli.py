@@ -189,6 +189,20 @@ def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path):
     assert runs[0]["final_p_e0"] != runs[1]["final_p_e0"]
 
 
+def test_config_values_are_read_as_their_field_types(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": "Q1D_4", "samples": "20", "j": "1.5",
+                                  "n_output": 5, "shots": 20}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["samples"] == 20 and manifest["config"]["j"] == 1.5
+    config.write_text(json.dumps({"instance": "Q1D_4", "samples": "twenty"}))
+    assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples" in err
+
+
 SUBCOMMANDS = ("isets", "gap", "design", "evolve", "twolevel", "sample", "pipeline",
                "reproduce", "export-ahs")
 

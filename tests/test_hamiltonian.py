@@ -20,7 +20,11 @@ from rydmis import (
     standard_schedule,
 )
 
-from oracles import oracle_dense_hamiltonian, oracle_independent_configs
+from oracles import (
+    oracle_dense_hamiltonian,
+    oracle_independent_configs,
+    oracle_interaction_diagonal,
+)
 
 
 def _single_atom(params):
@@ -145,12 +149,24 @@ def test_matches_independent_kron_oracle(params):
     assert np.allclose(ours, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("instance, kind", [("Q1D_10", "full"), ("TD_25", "blockade")])
+def test_interaction_diagonal_matches_pairwise_oracle(params, instance, kind):
+    arr = builtin_instance(instance)
+    g = blockade_graph(arr, params)
+    h = hamiltonian_terms(g, build_basis(g, kind))
+    oracle = oracle_interaction_diagonal(arr.positions, params.c6, h.basis.states)
+    # udiag sums each state's pair energies in another order than the oracle
+    np.testing.assert_allclose(h.udiag, oracle, rtol=1e-12, atol=0)
+
+
 def test_matvec_consistent_with_assemble(params):
     _, h = _q1d10(params)
     rng = np.random.default_rng(0)
-    v = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
     omega, delta = from_mhz(1.0), from_mhz(0.3)
-    assert np.allclose(h.matvec(omega, delta, v), assemble(h, omega, delta) @ v)
+    for v in (rng.normal(size=h.dim), rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)):
+        out = h.matvec(omega, delta, v)
+        assert out.dtype == v.dtype
+        assert np.allclose(out, assemble(h, omega, delta) @ v)
 
 
 def test_linearity_in_delta(params):

@@ -1,0 +1,51 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rydmis import assemble, krylov
+
+
+def test_restarted_basis_stays_orthonormal(params, q1d10):
+    _, _, h = q1d10
+    matrix = assemble(h, params.omega0, params.delta_f)
+    bases = []
+
+    def matvec(x):
+        bases.append(x.base)  # x is a row of the solver's basis
+        return matrix @ x
+
+    krylov.lowest_eigenpairs(matvec, h.dim, matrix.dtype, 2)
+    assert len(bases) > krylov.MAX_BASIS  # at least one thick restart
+    q = bases[-1]
+    assert q.shape == (krylov.MAX_BASIS + 1, h.dim)
+    assert np.linalg.norm(q @ q.conj().T - np.eye(len(q)), 2) <= 1e-12
+
+
+def test_cancelling_pass_is_repeated():
+    rng = np.random.default_rng(3)
+    dim = 4096
+    block = rng.standard_normal((dim, 8)) + 1j * rng.standard_normal((dim, 8))
+    q = np.linalg.qr(block)[0].T.copy()
+    w0 = rng.standard_normal(8) @ q + 1e-10 * rng.standard_normal(dim)
+    w = w0.astype(complex)
+    c, norm, repeated = krylov._orthogonalize(q, w)
+    assert repeated
+    assert norm == pytest.approx(np.linalg.norm(w), rel=1e-12)
+    assert np.abs(q.conj() @ w).max() <= 1e-14 * norm
+    assert np.abs(c - q.conj() @ w0).max() <= 1e-12
+
+
+def test_extend_copies_no_basis_block():
+    dim = 1 << 16
+    rng = np.random.default_rng(4)
+    basis = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    scale = rng.standard_normal(dim)
+    tracemalloc.start()
+    try:
+        krylov.extend(lambda x: scale * x, basis, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * dim * 16  # a conj() copy of the 16-row block alone is 16 * dim * 16 B
