@@ -16,7 +16,7 @@ from .dynamics import (
     evolve,
     evolve_two_level,
 )
-from .errors import ConvergenceError, DimensionLimitError, ResourceLimitError, RydmisError
+from .errors import ConvergenceError, DimensionLimitError, RydmisError
 from .geometry import (
     AtomArray,
     BlockadeGraph,
@@ -64,7 +64,6 @@ __all__ = [
     "PhysicalParams",
     "PulseSchedule",
     "QuantumState",
-    "ResourceLimitError",
     "RydmisError",
     "ShotHistogram",
     "SpamModel",

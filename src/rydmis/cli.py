@@ -395,7 +395,7 @@ def _reproduce_fig2(out_dir: Path) -> list[tuple]:
     profile = scan_gap(run.terms, standard_schedule(p), n_samples=240,
                        t_span=(p.ramp_time, p.total_time))
     mis_bits = mis_projector_support(run.graph)
-    o0, o1 = track_mis_overlap(profile, mis_bits, mode="single")
+    o0, o1 = track_mis_overlap(profile, mis_bits)
     _write_csv(out_dir / "fig2_overlap.csv",
                {"t_us": (F6, profile.times), "overlap_e0": (F8, o0), "overlap_e1": (F8, o1)})
     final_ok = o0[-1] >= 1.0 - 1e-6

@@ -108,9 +108,12 @@ class EvolutionResult:
 class EvolveOptions:
     n_output: int = 200
     local_tol: float = 2e-9
-    convergence_check: bool = True
     convergence_tol: float = 1e-6
-    track_projections: bool = True
+
+    def __post_init__(self):
+        if self.n_output < 2:
+            raise ValueError(f"n_output = {self.n_output}: an evolution needs at least 2 "
+                             "output times (t = 0 and t = T)")
 
 
 def _expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> np.ndarray:
@@ -275,7 +278,7 @@ def evolve(
     t_end, knots = sched.total_time, sched.knots
     counts: Counter = Counter()
 
-    def run(n_output: int, local_tol: float, max_step: float, record: bool):
+    def run(n_output: int, local_tol: float, max_step: float):
         exp_tol = local_tol / 10.0
 
         def step(t: float, dt: float, psi: np.ndarray) -> np.ndarray:
@@ -284,8 +287,8 @@ def evolve(
         times = np.linspace(0.0, t_end, n_output)
         psi = np.zeros(h.dim, dtype=complex)
         psi[pos0] = 1.0
-        p_e0 = np.full(times.size, np.nan)  # nan where not recorded
-        p_mis = np.full(times.size, np.nan)
+        p_e0 = np.empty(times.size)
+        p_mis = np.empty(times.size)
         dt_hint = max_step
         ground = None  # ground vector at the previous output time
         for i, t_out in enumerate(times):
@@ -294,40 +297,27 @@ def evolve(
                     step, psi, (times[i - 1], t_out), knots, local_tol,
                     max_step, MIN_STEP, dt_hint, counts,
                 )
-            if record:
-                p_e0[i], ground = _ground_projection(
-                    h, float(sched.omega(t_out)), float(sched.delta(t_out)), psi, ground
-                )
-                p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
-        final_p_e0, _ = _ground_projection(
-            h, float(sched.omega(times[-1])), float(sched.delta(times[-1])), psi, ground
-        )
-        return times, psi, p_e0, p_mis, final_p_e0
+            p_e0[i], ground = _ground_projection(
+                h, float(sched.omega(t_out)), float(sched.delta(t_out)), psi, ground
+            )
+            p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
+        return times, psi, p_e0, p_mis
 
-    times, psi, p_e0, p_mis, final_p_e0 = run(
-        opts.n_output, opts.local_tol, MAX_STEP, opts.track_projections
-    )
-
-    check_delta = None
-    if opts.convergence_check:
-        _, _, _, _, final_check = run(2, opts.local_tol / 4.0, MAX_STEP / 2.0, False)
-        check_delta = abs(final_check - final_p_e0)
+    times, psi, p_e0, p_mis = run(opts.n_output, opts.local_tol, MAX_STEP)
+    final_p_e0 = float(p_e0[-1])
+    check_delta = abs(run(2, opts.local_tol / 4.0, MAX_STEP / 2.0)[2][-1] - final_p_e0)
     logger.debug(
-        "evolve dim %d, %d knots, %d run(s): %d accepted and %d rejected steps, "
-        "%d Krylov exponentials, %d matvecs, convergence-check delta %s",
-        h.dim, knots.size, 1 + opts.convergence_check, counts["accepted"],
-        counts["rejected"], counts["exponentials"], counts["matvecs"],
-        "not run" if check_delta is None else f"{check_delta:.3e}",
+        "evolve dim %d, %d knots, 2 runs: %d accepted and %d rejected steps, "
+        "%d Krylov exponentials, %d matvecs, convergence-check delta %.3e",
+        h.dim, knots.size, counts["accepted"], counts["rejected"],
+        counts["exponentials"], counts["matvecs"], check_delta,
     )
-    if check_delta is not None and check_delta >= opts.convergence_tol:
+    if check_delta >= opts.convergence_tol:
         raise ConvergenceError(
             f"halving the step cap moved final p_e0 by {check_delta:.2e} "
             f"(>= {opts.convergence_tol:g}); tighten local_tol"
         )
 
-    if not opts.track_projections:
-        p_e0[-1] = final_p_e0
-    final_p_mis = float(np.sum(np.abs(psi[mis_positions]) ** 2))
     return EvolutionResult(
         times=times,
         p_e0=p_e0,
@@ -335,7 +325,7 @@ def evolve(
         mis_overlap=p_mis,
         final_state=QuantumState(basis=h.basis, amplitudes=psi),
         final_p_e0=final_p_e0,
-        final_p_mis=final_p_mis,
+        final_p_mis=float(p_mis[-1]),
     )
 
 

@@ -5,10 +5,6 @@ class RydmisError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ResourceLimitError(RydmisError):
-    """A combinatorial search exceeded its configured node budget."""
-
-
 class DimensionLimitError(RydmisError):
     """A requested state space exceeds the configured size guard."""
 

@@ -37,10 +37,10 @@ from scipy.sparse._sparsetools import csr_matvec
 from .configs import atom_bit, configs_to_bits, occupancy
 from .errors import DimensionLimitError
 from .geometry import BlockadeGraph
+from .isets import independent_configs
 from .schedule import PulseSchedule
 
 FULL_BASIS_MAX_ATOMS = 24
-BLOCKADE_BASIS_MAX_STATES = 1 << 24
 UDIAG_CHUNK = 1 << 15  # states per occupancy block when building udiag
 
 
@@ -84,27 +84,8 @@ def build_basis(g: BlockadeGraph, kind: str = "full") -> BasisSet:
         states = np.arange(1 << g.n, dtype=np.int64)
         return BasisSet(kind="full", n=g.n, states=states)
     if kind == "blockade":
-        return BasisSet(kind="blockade", n=g.n, states=_independent_configs(g))
+        return BasisSet(kind="blockade", n=g.n, states=independent_configs(g))
     raise ValueError(f"unknown basis kind {kind!r}")
-
-
-def _independent_configs(g: BlockadeGraph) -> np.ndarray:
-    """All independent-set configurations in ascending order.
-
-    Atoms are added from the lowest bit up.  Every configuration so far
-    lies below the new atom's bit, so appending the ones that leave the
-    atom unblocked, with its bit set, keeps the array sorted.
-    """
-    states = np.zeros(1, dtype=np.int64)
-    for v in reversed(range(g.n)):
-        free = states[(states & g.adjacency[v]) == 0]
-        states = np.concatenate([states, free | atom_bit(g.n, v)])
-        if states.size > BLOCKADE_BASIS_MAX_STATES:
-            raise DimensionLimitError(
-                f"blockade basis exceeds the {BLOCKADE_BASIS_MAX_STATES}-state guard "
-                f"with {g.n - v} of {g.n} atoms"
-            )
-    return states
 
 
 @dataclass(frozen=True, eq=False)

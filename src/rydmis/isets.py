@@ -1,12 +1,13 @@
 """Independent-set combinatorics on the blockade graph.
 
-Counts independent sets exactly by size (the independence polynomial),
-identifies all maximum independent sets, and evaluates the hardness
-parameter R_(m-1) / (m * R_m) where m is the MIS size.  Counting is an
-exhaustive branch-and-bound on vertex bitmasks: split connected
-components, branch on a maximum-degree vertex, memoize subproblems.
-Measured configurations are classified against the graph as whole
-arrays, one pass per blockade edge.
+Every independent set of the graph is listed once, as the ascending int64
+array of ``independent_configs`` that is also the blockade basis.  The
+census reads everything else off that array: the counts R_k by size are
+a bincount of its popcounts, the maximum independent sets (MIS) are its
+rows of the largest popcount, and the hardness parameter is
+R_(m-1) / (m * R_m) where m is the MIS size.  Measured configurations
+are classified against the graph as whole arrays, one pass per blockade
+edge.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import atom_bit, bits_to_configs, configs_to_bits
-from .errors import ResourceLimitError
+from .configs import atom_bit, bits_to_configs, configs_to_bits, occupancy
+from .errors import DimensionLimitError
 from .geometry import BlockadeGraph
 
-DEFAULT_NODE_BUDGET = 10**9
-DEFAULT_MIS_CAP = 10**6
+BLOCKADE_BASIS_MAX_STATES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -29,163 +29,53 @@ class ISetStats:
 
     r maps set size k to the count R_k (every k from 0 to mis_size is
     present).  mis_sets holds all maximum independent sets as sorted
-    0-based index tuples, or None when their number exceeds the retention
-    cap.  hp is the hardness parameter.
+    0-based index tuples, in lexicographic order.  hp is the hardness
+    parameter.
     """
 
     r: dict[int, int]
     mis_size: int
-    mis_sets: tuple[tuple[int, ...], ...] | None
+    mis_sets: tuple[tuple[int, ...], ...]
     hp: float
-    nodes_visited: int
 
 
-class _PolyCounter:
-    """Independence polynomial of induced subgraphs, as count-by-size lists."""
+def independent_configs(g: BlockadeGraph) -> np.ndarray:
+    """All independent-set configurations in ascending order.
 
-    def __init__(self, adjacency: tuple[int, ...], n: int, budget: int):
-        self.adj = adjacency
-        self.n = n
-        self.budget = budget
-        self.nodes = 0
-        self._memo: dict[int, list[int]] = {}
-        self._vbits = [(v, atom_bit(n, v)) for v in range(n)]
-
-    def poly(self, mask: int) -> list[int]:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise ResourceLimitError(
-                f"independent-set search exceeded node budget {self.budget}"
+    Atoms are added from the lowest bit up.  Every configuration so far
+    lies below the new atom's bit, so appending the ones that leave the
+    atom unblocked, with its bit set, keeps the array sorted.  Raises
+    DimensionLimitError before the array would grow beyond
+    BLOCKADE_BASIS_MAX_STATES configurations.
+    """
+    states = np.zeros(1, dtype=np.int64)
+    for v in reversed(range(g.n)):
+        free = states[(states & g.adjacency[v]) == 0]
+        if states.size + free.size > BLOCKADE_BASIS_MAX_STATES:
+            raise DimensionLimitError(
+                f"blockade basis exceeds the {BLOCKADE_BASIS_MAX_STATES}-state guard "
+                f"with {g.n - v} of {g.n} atoms"
             )
-        if mask == 0:
-            return [1]
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-
-        comp = self._component(mask)
-        if comp != mask:
-            result = _poly_mul(self.poly(comp), self.poly(mask & ~comp))
-        else:
-            v, vbit = self._max_degree_vertex(mask)
-            without_v = self.poly(mask & ~vbit)
-            with_v = self.poly(mask & ~(self.adj[v] | vbit))
-            result = _poly_add_shifted(without_v, with_v)
-
-        if len(self._memo) < 2_000_000:
-            self._memo[mask] = result
-        return result
-
-    def _component(self, mask: int) -> int:
-        seed = mask & -mask
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                bit = m & -m
-                m ^= bit
-                # mask bit 1 << b belongs to vertex n - 1 - b
-                grow |= self.adj[self.n - bit.bit_length()] & mask
-            frontier = grow & ~comp
-            comp |= grow & mask
-        return comp
-
-    def _max_degree_vertex(self, mask: int) -> tuple[int, int]:
-        best_v, best_bit, best_deg = -1, 0, -1
-        for v, vbit in self._vbits:
-            if mask & vbit:
-                deg = (self.adj[v] & mask).bit_count()
-                if deg > best_deg:
-                    best_v, best_bit, best_deg = v, vbit, deg
-        return best_v, best_bit
+        states = np.concatenate([states, free | atom_bit(g.n, v)])
+    return states
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_add_shifted(base: list[int], shifted: list[int]) -> list[int]:
-    """base + x * shifted."""
-    out = list(base) + [0] * max(0, len(shifted) + 1 - len(base))
-    for i, c in enumerate(shifted):
-        out[i + 1] += c
-    return out
-
-
-def count_isets(
-    g: BlockadeGraph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    mis_cap: int = DEFAULT_MIS_CAP,
-) -> ISetStats:
+def count_isets(g: BlockadeGraph) -> ISetStats:
     """Exact independent-set counts R_k for all k, MIS list and hardness.
 
-    Raises ResourceLimitError if the search tree exceeds node_budget.
+    Raises DimensionLimitError when the graph has more independent sets
+    than BLOCKADE_BASIS_MAX_STATES.
     """
-    counter = _PolyCounter(g.adjacency, g.n, node_budget)
-    full_mask = (1 << g.n) - 1
-    coeffs = counter.poly(full_mask)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    mis_size = len(coeffs) - 1
-    r = {k: coeffs[k] for k in range(mis_size + 1)}
-
-    if mis_size >= 1:
-        hp = r[mis_size - 1] / (mis_size * r[mis_size])
-    else:
-        hp = 0.0
-
-    mis_sets: tuple[tuple[int, ...], ...] | None = None
-    if r[mis_size] <= mis_cap:
-        found = _enumerate_isets_of_size(g, mis_size, limit=r[mis_size])
-        assert len(found) == r[mis_size]
-        mis_sets = tuple(sorted(found))
-
-    return ISetStats(
-        r=r,
-        mis_size=mis_size,
-        mis_sets=mis_sets,
-        hp=hp,
-        nodes_visited=counter.nodes,
-    )
-
-
-def _enumerate_isets_of_size(
-    g: BlockadeGraph, k: int, limit: int
-) -> list[tuple[int, ...]]:
-    """All independent sets of exactly k vertices (branch with size bound)."""
-    n = g.n
-    out: list[tuple[int, ...]] = []
-    order = sorted(range(n), key=g.degree, reverse=True)
-
-    def rec(idx: int, chosen: list[int], blocked: int) -> None:
-        if len(chosen) == k:
-            out.append(tuple(sorted(chosen)))
-            return
-        if len(chosen) + (n - idx) < k:
-            return
-        for i in range(idx, n):
-            v = order[i]
-            vbit = atom_bit(n, v)
-            if blocked & vbit:
-                continue
-            if len(chosen) + 1 + (n - i - 1) < k:
-                return
-            chosen.append(v)
-            rec(i + 1, chosen, blocked | vbit | g.adjacency[v])
-            chosen.pop()
-
-    if k == 0:
-        return [()]
-    rec(0, [], 0)
-    assert len(out) <= limit
-    return out
+    states = independent_configs(g)
+    sizes = np.bitwise_count(states)
+    counts = np.bincount(sizes).tolist()
+    mis_size = len(counts) - 1
+    # nonzero walks the occupancy rows in order, so each row's atoms come out sorted
+    rows = occupancy(states[sizes == mis_size], g.n)
+    atoms = np.nonzero(rows)[1].reshape(len(rows), mis_size)
+    mis_sets = tuple(sorted(map(tuple, atoms.tolist())))
+    hp = counts[mis_size - 1] / (mis_size * counts[mis_size]) if mis_size >= 1 else 0.0
+    return ISetStats(r=dict(enumerate(counts)), mis_size=mis_size, mis_sets=mis_sets, hp=hp)
 
 
 def classify_bitstring(
@@ -230,14 +120,10 @@ def mis_projector_support(
     """All MIS configurations as bitstrings, in lexicographic order.
 
     These span the subspace used for MIS-overlap and MIS-probability
-    computations.  Raises ResourceLimitError when the MIS count exceeded
-    the retention cap during counting.
+    computations.  They are the independent sets of the largest size,
+    read off ``independent_configs`` in its ascending order.
     """
-    if stats is None:
-        stats = count_isets(g)
-    if stats.mis_sets is None:
-        raise ResourceLimitError(
-            "MIS sets were not retained (count exceeds the retention cap)"
-        )
-    configs = sorted(sum(atom_bit(g.n, v) for v in s) for s in stats.mis_sets)
-    return tuple(configs_to_bits(np.array(configs, dtype=np.int64), g.n))
+    states = independent_configs(g)
+    sizes = np.bitwise_count(states)
+    mis_size = sizes.max() if stats is None else stats.mis_size
+    return tuple(configs_to_bits(states[sizes == mis_size], g.n))

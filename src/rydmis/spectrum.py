@@ -212,13 +212,11 @@ def scan_gap(
 def track_mis_overlap(
     profile: GapProfile,
     mis_states: list[str] | tuple[str, ...],
-    mode: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """|<MIS|E0>|^2 and |<MIS|E1>|^2 at each profile sample.
 
-    |MIS> is the single configuration when unique (or mode="single"
-    picks the first), otherwise the uniform superposition over the MIS
-    manifold (mode="superposition").
+    |MIS> is the uniform superposition over the listed MIS
+    configurations, which is the configuration itself when it is unique.
     """
     if profile.vecs0 is None or profile.vecs1 is None:
         raise ValueError("profile was scanned without stored eigenvectors")
@@ -226,8 +224,6 @@ def track_mis_overlap(
         raise ValueError("profile carries no basis reference")
     if not mis_states:
         raise ValueError("empty MIS state list")
-    if mode == "auto":
-        mode = "single" if len(mis_states) == 1 else "superposition"
 
     try:
         positions = profile.basis.position_of(bits_to_configs(mis_states, profile.basis.n))
@@ -236,8 +232,6 @@ def track_mis_overlap(
     if np.any(positions < 0):
         raise ValueError(f"configuration {mis_states[np.argmin(positions)]} is outside the basis")
 
-    if mode == "single":
-        positions = positions[:1]
     amp0 = profile.vecs0[:, positions].sum(axis=1)
     amp1 = profile.vecs1[:, positions].sum(axis=1)
     norm = len(positions)

@@ -50,7 +50,7 @@ def q1d10_profile(params, q1d10, timings):
 def q1d10_evolutions(params, q1d10, q1d10_profile, timings):
     """The five published evolution runs (standard + four gap-guided)."""
     _, _, h = q1d10
-    opts = EvolveOptions(n_output=2, track_projections=False)
+    opts = EvolveOptions(n_output=2)
     t0 = time.time()
     runs = {"standard": evolve(h, standard_schedule(params), opts)}
     for j in (1.0, 1.5, 1.8, 2.0):

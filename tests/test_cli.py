@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rydmis.isets
 from rydmis import PulseSchedule
 from rydmis.cli import main, verify_manifest
 
@@ -117,6 +118,16 @@ def test_evolve_writes_series_and_state(tmp_path):
     assert sum(e["re"] ** 2 + e["im"] ** 2 for e in data["entries"]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n_output", ["1", "0"])
+def test_evolve_rejects_fewer_than_two_output_times(tmp_path, capsys, n_output):
+    out = tmp_path / "evo.csv"
+    assert main(["evolve", "--instance", "Q1D_4", "--n-output", n_output,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_output" in err
+    assert not out.exists()
+
+
 def test_twolevel_writes_the_leakage_series(tmp_path):
     out = tmp_path / "two.csv"
     assert main(["twolevel", "--instance", "Q1D_4", "--samples", "20", "--out", str(out)]) == 0
@@ -130,6 +141,13 @@ def test_isets_prints_the_census(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["n"] == 7 and out["mis_size"] == 3
     assert min(map(int, out["r"])) == 2
+
+
+def test_isets_above_the_guard_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(rydmis.isets, "BLOCKADE_BASIS_MAX_STATES", 13_321)
+    assert main(["isets", "--instance", "TD_25"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "13321-state guard" in err
 
 
 def test_export_ahs_writes_hardware_programs(tmp_path):

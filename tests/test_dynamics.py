@@ -82,7 +82,7 @@ def test_transfer_sweep_matches_dense_midpoint_oracle(params):
     h = hamiltonian_terms(g, build_basis(g, "full"))
     sched = transfer_schedule(params, 0.0)
     assert _knots(sched).size > 1000
-    res = evolve(h, sched, EvolveOptions(n_output=2, track_projections=False))
+    res = evolve(h, sched, EvolveOptions(n_output=2))
     assert res.final_state.norm() == pytest.approx(1.0, abs=1e-9)
     # every piece gets k steps in the coarse run and 2k in the fine one
     coarse = _midpoint_p_e0(arr.positions, params, sched, 500)
@@ -106,7 +106,7 @@ def test_no_trial_step_straddles_a_knot(params, monkeypatch):
         return cf4_step(*args)
 
     monkeypatch.setattr(rydmis.dynamics, "_cf4_step", spy)
-    evolve(h, sched, EvolveOptions(n_output=7, convergence_check=False))
+    evolve(h, sched, EvolveOptions(n_output=7))
     t, dt = np.array(steps).T
     assert t.size > 1000
     knots = _knots(sched)

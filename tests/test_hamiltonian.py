@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-import rydmis.hamiltonian
+import rydmis.isets
 from rydmis import (
     AtomArray,
     BlockadeGraph,
@@ -88,10 +88,10 @@ def test_position_of_arrays(params):
 
 def test_blockade_basis_guard(params, monkeypatch):
     g = blockade_graph(builtin_instance("TD_25"), params)
-    monkeypatch.setattr(rydmis.hamiltonian, "BLOCKADE_BASIS_MAX_STATES", 13_321)
+    monkeypatch.setattr(rydmis.isets, "BLOCKADE_BASIS_MAX_STATES", 13_321)
     with pytest.raises(DimensionLimitError, match="13321-state guard"):
         build_basis(g, "blockade")
-    monkeypatch.setattr(rydmis.hamiltonian, "BLOCKADE_BASIS_MAX_STATES", 13_322)
+    monkeypatch.setattr(rydmis.isets, "BLOCKADE_BASIS_MAX_STATES", 13_322)
     assert build_basis(g, "blockade").dim == 13_322
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import rydmis.isets
 from rydmis import (
     AtomArray,
     BlockadeGraph,
-    ResourceLimitError,
+    DimensionLimitError,
     blockade_graph,
     builtin_instance,
     classify_bitstring,
@@ -56,6 +57,9 @@ def test_counts_match_oracle_on_random_scatters(params):
         arr = AtomArray(name=f"rand{trial}", positions=pos)
         g = blockade_graph(arr, params)
         assert count_isets(g).r == oracle_iset_counts(pos, params.blockade_radius)
+        assert list(mis_projector_support(g)) == oracle_mis_bitstrings(
+            pos, params.blockade_radius
+        )
 
 
 def test_hp_identity_recoverable_from_counts(params):
@@ -135,10 +139,13 @@ def test_projector_support_matches_oracle(params):
         )
 
 
-def test_node_budget_enforced(params):
-    g = blockade_graph(builtin_instance("TH_37"), params)
-    with pytest.raises(ResourceLimitError, match="node budget"):
-        count_isets(g, node_budget=10)
+def test_census_guard(params, monkeypatch):
+    g = blockade_graph(builtin_instance("TD_25"), params)
+    monkeypatch.setattr(rydmis.isets, "BLOCKADE_BASIS_MAX_STATES", 13_321)
+    with pytest.raises(DimensionLimitError, match="13321-state guard"):
+        count_isets(g)
+    monkeypatch.setattr(rydmis.isets, "BLOCKADE_BASIS_MAX_STATES", 13_322)
+    assert sum(count_isets(g).r.values()) == 13_322
 
 
 def test_mis_retention_cap(params):
@@ -147,12 +154,13 @@ def test_mis_retention_cap(params):
     for k in range(8):
         pos += [(100.0 * k, 0.0), (100.0 * k + 5.0, 0.0)]
     g = blockade_graph(AtomArray(name="pairs", positions=tuple(pos)), params)
-    stats = count_isets(g, mis_cap=10)
-    assert stats.r[8] == 256 and stats.mis_sets is None
-    with pytest.raises(ResourceLimitError, match="retention cap"):
-        mis_projector_support(g, stats)
-    full = count_isets(g)
-    assert full.mis_sets is not None and len(full.mis_sets) == 256
+    stats = count_isets(g)
+    assert stats.r[8] == 256
+    want = [tuple(2 * k + (mask >> k & 1) for k in range(8)) for mask in range(256)]
+    assert stats.mis_sets == tuple(sorted(want))
+    assert mis_projector_support(g, stats) == tuple(
+        sorted("".join("01"[v in s] for v in range(16)) for s in stats.mis_sets)
+    )
 
 
 def test_classify_array_matches_each_bitstring(params):

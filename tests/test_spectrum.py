@@ -240,7 +240,7 @@ def test_overlap_manifold_mode(params):
                        t_span=(params.ramp_time, params.total_time))
     mis_bits = mis_projector_support(g)
     assert len(mis_bits) == 4
-    o0, _ = track_mis_overlap(profile, mis_bits, mode="superposition")
+    o0, _ = track_mis_overlap(profile, mis_bits)
     # final ground vector is a degenerate-subspace member; uniform
     # superposition overlap is basis-choice dependent but bounded by 1
     assert np.all(o0 <= 1 + 1e-9)
