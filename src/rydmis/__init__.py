@@ -45,7 +45,6 @@ from .schedule import (
     fit_eta_polynomials,
     standard_schedule,
     transfer_schedule,
-    zeta_interpolant,
 )
 from .spectrum import GapProfile, eigenpairs_lowest2, scan_gap, track_mis_overlap
 
@@ -77,6 +76,7 @@ __all__ = [
     "classify_bitstring",
     "count_isets",
     "dump_matrix",
+    "eigenpairs_lowest2",
     "evolve",
     "evolve_two_level",
     "fit_eta_polynomials",
@@ -92,7 +92,6 @@ __all__ = [
     "to_mhz",
     "track_mis_overlap",
     "transfer_schedule",
-    "zeta_interpolant",
 ]
 
 __version__ = "0.1.0"

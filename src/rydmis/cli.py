@@ -34,6 +34,7 @@ from .dynamics import (
 )
 from .errors import RydmisError
 from .geometry import (
+    STOCK_MHZ,
     AtomArray,
     BlockadeGraph,
     PhysicalParams,
@@ -52,8 +53,7 @@ ADGLB_JS = (1.0, 1.5, 1.8, 2.0)  # the ADGLB exponents of figs. 3a and 3b
 PAPER_P_E0 = {"standard": 0.739, "adglb_j1": 0.955, "adglb_j1.5": 0.981, "adglb_j1.8": 0.963,
               "adglb_j2": 0.940}
 METHODS = ("std", "adglb", "transfer")
-PHYSICAL = ("c6_mhz_um6", "omega0_mhz", "delta_i_mhz", "delta_f_mhz", "total_time_us",
-            "ramp_time_us")
+PHYSICAL = tuple(STOCK_MHZ)
 
 
 def load_instance(ref: str) -> AtomArray:
@@ -74,12 +74,12 @@ class RunConfig:
     """
 
     instance: str = "Q1D_10"
-    c6_mhz_um6: float = 863_000.0
-    omega0_mhz: float = 1.0
-    delta_i_mhz: float = -2.5
-    delta_f_mhz: float = 2.5
-    total_time_us: float = 5.0
-    ramp_time_us: float = 0.5
+    c6_mhz_um6: float = STOCK_MHZ["c6_mhz_um6"]
+    omega0_mhz: float = STOCK_MHZ["omega0_mhz"]
+    delta_i_mhz: float = STOCK_MHZ["delta_i_mhz"]
+    delta_f_mhz: float = STOCK_MHZ["delta_f_mhz"]
+    total_time_us: float = STOCK_MHZ["total_time_us"]
+    ramp_time_us: float = STOCK_MHZ["ramp_time_us"]
     method: str = "adglb"
     j: float = 1.8
     nu_d_mhz: float = 0.0
@@ -234,7 +234,7 @@ def cmd_gap(run: Run, args) -> int:
 def cmd_design(run: Run, args) -> int:
     sched = run.schedule()
     sched.save(args.out)
-    print(f"{sched.kind_label()} schedule -> {args.out}")
+    print(f"{sched.kind} schedule -> {args.out}")
     return 0
 
 

@@ -25,6 +25,12 @@ from .configs import atom_bit
 
 TWO_PI = 2.0 * math.pi
 
+# 87Rb / 70S hardware values of every stock experiment, as PhysicalParams.from_mhz
+# takes them: C6 = 2pi x 863 GHz um^6, Omega0 = 2pi x 1 MHz, detuning swept
+# 2pi x (-2.5 .. +2.5) MHz over T = 5 us with 0.5 us Rabi ramps.
+STOCK_MHZ = {"c6_mhz_um6": 863_000.0, "omega0_mhz": 1.0, "delta_i_mhz": -2.5,
+             "delta_f_mhz": 2.5, "total_time_us": 5.0, "ramp_time_us": 0.5}
+
 
 def from_mhz(value_mhz: float) -> float:
     """Convert a frequency quoted as value/2pi in MHz to rad/us."""
@@ -67,12 +73,12 @@ class PhysicalParams:
     @classmethod
     def from_mhz(
         cls,
-        c6_mhz_um6: float = 863_000.0,
-        omega0_mhz: float = 1.0,
-        delta_i_mhz: float = -2.5,
-        delta_f_mhz: float = 2.5,
-        total_time_us: float = 5.0,
-        ramp_time_us: float = 0.5,
+        c6_mhz_um6: float = STOCK_MHZ["c6_mhz_um6"],
+        omega0_mhz: float = STOCK_MHZ["omega0_mhz"],
+        delta_i_mhz: float = STOCK_MHZ["delta_i_mhz"],
+        delta_f_mhz: float = STOCK_MHZ["delta_f_mhz"],
+        total_time_us: float = STOCK_MHZ["total_time_us"],
+        ramp_time_us: float = STOCK_MHZ["ramp_time_us"],
     ) -> "PhysicalParams":
         return cls(
             c6=from_mhz(c6_mhz_um6),
@@ -85,11 +91,7 @@ class PhysicalParams:
 
     @classmethod
     def default(cls) -> "PhysicalParams":
-        """87Rb / 70S hardware values used for all stock experiments.
-
-        C6 = 2pi x 863 GHz um^6, Omega0 = 2pi x 1 MHz, detuning swept
-        2pi x (-2.5 .. +2.5) MHz over T = 5 us with 0.5 us Rabi ramps.
-        """
+        """The stock hardware values, STOCK_MHZ."""
         return cls.from_mhz()
 
     @property
@@ -176,9 +178,6 @@ class BlockadeGraph:
                 adj[u] |= atom_bit(self.n, v)
                 adj[v] |= atom_bit(self.n, u)
             object.__setattr__(self, "adjacency", tuple(adj))
-
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
 
 
 def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:

@@ -94,7 +94,6 @@ class HamiltonianTerms:
 
     graph: BlockadeGraph
     basis: BasisSet
-    interaction: str = "tails"
     sx: csr_matrix = field(repr=False, default=None)
     zdiag: np.ndarray = field(repr=False, default=None)
     udiag: np.ndarray = field(repr=False, default=None)
@@ -170,7 +169,7 @@ def hamiltonian_terms(
         udiag[lo : lo + UDIAG_CHUNK] = np.einsum("si,si->s", occ @ energies, occ)
 
     return HamiltonianTerms(
-        graph=g, basis=basis, interaction=interaction, sx=sx, zdiag=zdiag, udiag=udiag
+        graph=g, basis=basis, sx=sx, zdiag=zdiag, udiag=udiag
     )
 
 

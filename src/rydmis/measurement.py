@@ -62,6 +62,8 @@ def sample_shots(
     """
     if n_shots < 1:
         raise ValueError(f"need at least one shot, got {n_shots}")
+    if graph is not None and graph.n != state.basis.n:
+        raise ValueError("graph size does not match histogram bitstring length")
     amps = np.asarray(state.amplitudes)
     probs = np.abs(amps) ** 2
     total = probs.sum()

@@ -15,12 +15,15 @@ between its ``knots``; the breakpoint table (``delta_times``,
   engineered sweep, re-scaled to pass through a shifted waypoint
   detuning delta_min0 + nu_d, for carrying a schedule tuned on a small
   instance over to a harder one.
+
+A schedule is its knots, its piece coefficients and a ``kind`` label such
+as ``adglb(j=1.8)``; ``save`` writes all three and ``load`` reads them back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 import json
@@ -75,7 +78,6 @@ class PulseSchedule:
     knots: np.ndarray
     coeffs: np.ndarray
     kind: str = "standard"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         knots = np.asarray(self.knots, dtype=float)
@@ -129,15 +131,10 @@ class PulseSchedule:
 
     @cached_property
     def delta_times(self) -> np.ndarray:
-        """Every knot, plus EXPORT_POINTS sweep intervals (split at t_min) if a piece is curved."""
+        """Every knot, plus EXPORT_POINTS uniform sweep intervals if a piece is curved."""
         if not np.any(self.coeffs[:, :-2]):
             return self.knots
-        t_r, t_hi = self.sweep_window
-        t_min = self.meta.get("t_min", t_hi)  # no waypoint: the second part is t_hi alone
-        n_a = max(64, int(round(EXPORT_POINTS * (t_min - t_r) / (t_hi - t_r))))
-        grid = (np.linspace(t_r, t_min, n_a + 1),
-                np.linspace(t_min, t_hi, max(64, EXPORT_POINTS - n_a) + 1))
-        return np.union1d(self.knots, np.concatenate(grid))
+        return np.union1d(self.knots, np.linspace(*self.sweep_window, EXPORT_POINTS + 1))
 
     @cached_property
     def delta_values(self) -> np.ndarray:
@@ -161,19 +158,6 @@ class PulseSchedule:
         degree = self.coeffs.shape[1] - 1
         return _ppval(self.knots, self.coeffs[:, :-1] * np.arange(degree, 0, -1), t)
 
-    def with_delta_offset(self, offset: float) -> "PulseSchedule":
-        """Globally shifted detuning (models a static detuning error)."""
-        coeffs = self.coeffs.copy()
-        coeffs[:, -1] += offset
-        return replace(self, coeffs=coeffs, meta={**self.meta, "delta_offset": offset})
-
-    def kind_label(self) -> str:
-        if self.kind == "adglb" and "j" in self.meta:
-            return f"adglb(j={self.meta['j']:g})"
-        if self.kind == "transfer" and "nu_d" in self.meta:
-            return f"transfer(nu_d_mhz={to_mhz(self.meta['nu_d']):g})"
-        return self.kind
-
     def to_json(self) -> dict:
         """The export table; a point at a knot also carries the coefficients
         of the piece that starts there, so ``from_json`` rebuilds the drive."""
@@ -188,7 +172,7 @@ class PulseSchedule:
             "T_us": self.total_time,
             "omega0_over_2pi_MHz": to_mhz(self.omega0),
             "points": points,
-            "kind": self.kind_label(),
+            "kind": self.kind,
         }
 
     @classmethod
@@ -242,14 +226,9 @@ def _zeta_pieces(profile: "GapProfile", j: float, t0: float, t1: float
 
     The C1 Hermite through the exact integrals of the (linearly
     interpolated) gap^j up to each profile sample, with slopes gap^j / total.
+    The profile must cover [t0, t1], t0 < t1.
     """
-    if j <= 0:
-        raise ValueError("need j > 0")
-    if not (t0 < t1):
-        raise ValueError("need t0 < t1")
     times, gaps = np.asarray(profile.times, dtype=float), np.asarray(profile.gaps, dtype=float)
-    if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
-        raise ValueError("profile does not cover the requested interval")
     knots = np.concatenate(([t0], times[(times > t0) & (times < t1)], [t1]))
     g = np.interp(knots, times, gaps)
     h, g0, g1 = np.diff(knots), g[:-1], g[1:]
@@ -268,11 +247,6 @@ def _zeta_pieces(profile: "GapProfile", j: float, t0: float, t1: float
     return knots, np.column_stack((c3, c2, slope[:-1], cum[:-1] / cum[-1]))
 
 
-def zeta_interpolant(profile: "GapProfile", j: float, t0: float, t1: float):
-    """zeta_j on [t0, t1] as a callable of t (see ``_zeta_pieces``)."""
-    return partial(_ppval, *_zeta_pieces(profile, j, t0, t1))
-
-
 def adglb_schedule(p: PhysicalParams, profile: "GapProfile", j: float) -> PulseSchedule:
     """Gap-guided detuning schedule through the profile's gap minimum.
 
@@ -281,6 +255,8 @@ def adglb_schedule(p: PhysicalParams, profile: "GapProfile", j: float) -> PulseS
     at delta_f.  The Rabi trapezoid is unchanged.  The profile must have
     been computed along the standard schedule for the same parameters.
     """
+    if j <= 0:
+        raise ValueError("need j > 0")
     t_r, t_hi = p.ramp_time, p.total_time - p.ramp_time
     times = np.asarray(profile.times, dtype=float)
     if abs(times[0] - t_r) > 1e-6 or abs(times[-1] - t_hi) > 1e-6:
@@ -299,25 +275,20 @@ def adglb_schedule(p: PhysicalParams, profile: "GapProfile", j: float) -> PulseS
                         (p.delta_f - d_min) * zeta_b + [0, 0, 0, d_min], [0, 0, 0, p.delta_f]))
     return PulseSchedule(t_r, p.total_time, p.omega0,
                          np.concatenate(([0.0], knots_a, knots_b[1:], [p.total_time])), coeffs,
-                         kind="adglb", meta={"j": j, "t_min": t_min, "delta_min": d_min})
+                         kind=f"adglb(j={j:g})")
 
 
 @dataclass(frozen=True)
 class EtaPolynomials:
     """Quartic zero-intercept fits of the two halves of an engineered sweep.
 
-    eta_a(s) fits delta(t_r + s) - delta_i, eta_b(s) fits
-    delta(t_min + s) - delta_min; s in us, outputs in 2pi x MHz.
+    ``a_coeffs`` (lowest degree first, from s^1 to s^4) fit
+    delta(t_r + s) - delta_i, ``b_coeffs`` fit delta(t_min + s) - delta_min;
+    s in us, outputs in 2pi x MHz.
     """
 
     a_coeffs: tuple[float, float, float, float]
     b_coeffs: tuple[float, float, float, float]
-
-    def eta_a(self, s):
-        return _horner((*self.a_coeffs[::-1], 0.0), s)
-
-    def eta_b(self, s):
-        return _horner((*self.b_coeffs[::-1], 0.0), s)
 
     @classmethod
     def reference(cls) -> "EtaPolynomials":
@@ -366,25 +337,24 @@ def transfer_schedule(
     d_end = _horner(piece_b, t_hi - t_min)
     return PulseSchedule(t_r, p.total_time, p.omega0, [0.0, t_r, t_min, t_hi, p.total_time],
                          [[0, 0, 0, 0, p.delta_i], piece_a, piece_b, [0, 0, 0, 0, d_end]],
-                         kind="transfer", meta={"nu_d": nu_d, "t_min": t_min, "delta_min": d_min})
+                         kind=f"transfer(nu_d_mhz={to_mhz(nu_d):g})")
 
 
-def fit_eta_polynomials(sched: PulseSchedule) -> EtaPolynomials:
+def fit_eta_polynomials(sched: PulseSchedule, t_min: float) -> EtaPolynomials:
     """Least-squares quartic (no constant term) fit of an engineered sweep.
 
     Fits delta - delta_i against s = t - t_r on [t_r, t_min) and
-    delta - delta_min against s = t - t_min on [t_min, T - t_r], both in
-    2pi x MHz.  The fit runs on the schedule's export table, so
-    fit -> transfer_schedule -> fit is a fixed point; piece a is
-    half-open because the seam knot at t_min belongs to piece b.  The
-    schedule must carry its waypoint metadata (an adglb-synthesized
-    schedule does).
+    delta - delta(t_min) against s = t - t_min on [t_min, T - t_r], both
+    in 2pi x MHz.  The waypoint t_min must be a knot inside the sweep
+    window: the gap minimum of an adglb drive, TRANSFER_T_MIN of a
+    transfer drive.  The fit runs on the export table, so fit ->
+    transfer_schedule -> fit is a fixed point; piece a is half-open
+    because the seam knot at t_min belongs to piece b.
     """
-    t_min = sched.meta.get("t_min")
-    d_min = sched.meta.get("delta_min")
-    if t_min is None or d_min is None:
-        raise ValueError("schedule carries no waypoint metadata to fit against")
     t_r, t_hi = sched.sweep_window
+    if not (t_r < t_min < t_hi and t_min in sched.knots):
+        raise ValueError(f"t_min = {t_min} us is not a knot inside the sweep window")
+    d_min = float(sched.delta(t_min))
     times, values = sched.delta_times, sched.delta_values
 
     def fit_piece(in_piece: np.ndarray, t0: float, base: float) -> tuple[float, ...]:

@@ -104,6 +104,11 @@ def test_design_saves_a_loadable_schedule(tmp_path, method):
     labels = {"std": "standard", "adglb": "adglb(j=1.8)", "transfer": "transfer(nu_d_mhz=0)"}
     assert sched.kind == labels[method]
     assert sched.total_time == 5.0
+    times = [p["t_us"] for p in json.loads(out.read_text())["points"]]
+    assert [p["t_us"] for p in sched.to_json()["points"]] == times
+    program = tmp_path / "ahs.json"
+    assert main(["export-ahs", "--schedule", str(out), "--out", str(program)]) == 0
+    assert json.loads(program.read_text())["detuning"]["times_s"] == [t * 1e-6 for t in times]
 
 
 def test_evolve_writes_series_and_state(tmp_path):

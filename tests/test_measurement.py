@@ -89,3 +89,13 @@ def test_report_rejects_malformed_bitstrings(td25):
     short = {"0" * (g.n - 1): 1}
     with pytest.raises(ValueError, match="length"):
         histogram_report(ShotHistogram(counts=short, n_shots=1, n_atoms=g.n, seed=0), g)
+
+
+def test_sample_shots_rejects_a_graph_of_another_size(params):
+    g4 = blockade_graph(builtin_instance("Q1D_4"), params)
+    basis = build_basis(g4, "full")
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[basis.position_of(0b1001)] = 1.0
+    g7 = blockade_graph(builtin_instance("Q1D_7"), params)
+    with pytest.raises(ValueError, match="graph size"):
+        sample_shots(QuantumState(basis=basis, amplitudes=amps), 10, graph=g7)

@@ -20,8 +20,8 @@ from rydmis import (
     standard_schedule,
     to_mhz,
     transfer_schedule,
-    zeta_interpolant,
 )
+from rydmis.schedule import TRANSFER_T_MIN
 
 
 def _flat_profile(t0=0.5, t1=4.5, gap=1.0, t_min=2.5):
@@ -63,24 +63,28 @@ def test_construction_invariants_enforced(params):
                                  np.array([0.0, 0.5, 0.5, 5.0]), np.array([0.0, 0.0, 0.0, 0.0]))
 
 
-def test_zeta_endpoints_and_constant_gap():
-    profile = _flat_profile()
-    zeta = zeta_interpolant(profile, 1.7, 1.0, 4.0)
-    assert zeta(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert zeta(4.0) == pytest.approx(1.0, abs=1e-12)
-    ts = np.linspace(1.0, 4.0, 33)
-    assert np.allclose(zeta(ts), (ts - 1.0) / 3.0, atol=1e-9)
-    assert np.all(np.diff(zeta(np.linspace(1.0, 4.0, 200))) > 0)
+def _polyval(s, coeffs):
+    """An EtaPolynomials half, zero intercept, coefficients lowest degree first."""
+    return np.polynomial.polynomial.polyval(s, (0.0, *coeffs))
 
 
-def test_zeta_preconditions():
+def test_zeta_endpoints_and_constant_gap(params):
+    # a constant gap makes each half of the adglb sweep a straight line
     profile = _flat_profile()
+    sched = adglb_schedule(params, profile, 1.7)
+    (t_r, t_hi), t_min, d_min = sched.sweep_window, profile.t_min, profile.delta_min
+    for t, want in ((t_r, params.delta_i), (t_min, d_min), (t_hi, params.delta_f)):
+        assert float(sched.delta(t)) == pytest.approx(want, abs=1e-12)
+    halves = ((t_r, t_min, params.delta_i, d_min), (t_min, t_hi, d_min, params.delta_f))
+    for t0, t1, d0, d1 in halves:
+        ts = np.linspace(t0, t1, 33)
+        assert np.allclose(sched.delta(ts), d0 + (d1 - d0) * (ts - t0) / (t1 - t0), atol=1e-9)
+    assert np.all(np.diff(sched.delta(np.linspace(t_r, t_hi, 200))) > 0)
+
+
+def test_zeta_preconditions(params):
     with pytest.raises(ValueError, match="j > 0"):
-        zeta_interpolant(profile, 0.0, 1.0, 4.0)
-    with pytest.raises(ValueError, match="cover"):
-        zeta_interpolant(profile, 1.0, 0.0, 4.0)
-    with pytest.raises(ValueError, match="t0 < t1"):
-        zeta_interpolant(profile, 1.0, 3.0, 3.0)
+        adglb_schedule(params, _flat_profile(), 0.0)
 
 
 def test_adglb_waypoint_and_endpoints(params, q1d10_profile):
@@ -170,9 +174,9 @@ def test_adglb_profile_mismatch_rejected(params, q1d10_profile):
 
 def test_eta_reference_endpoint_identities():
     eta = EtaPolynomials.reference()
-    assert eta.eta_a(3.1) == pytest.approx(3.88, abs=0.01)
-    assert eta.eta_b(0.9) == pytest.approx(1.13, abs=0.01)
-    assert eta.eta_a(0.0) == 0.0 and eta.eta_b(0.0) == 0.0
+    assert _polyval(3.1, eta.a_coeffs) == pytest.approx(3.88, abs=0.01)
+    assert _polyval(0.9, eta.b_coeffs) == pytest.approx(1.13, abs=0.01)
+    assert _polyval(0.0, eta.a_coeffs) == 0.0 and _polyval(0.0, eta.b_coeffs) == 0.0
 
 
 def test_transfer_schedule_waypoints(params):
@@ -187,7 +191,7 @@ def test_transfer_schedule_waypoints(params):
     assert scale == pytest.approx(1.103, abs=2e-3)
     eta = EtaPolynomials.reference()
     t_probe = 2.0
-    expected = params.delta_i + scale * from_mhz(float(eta.eta_a(t_probe - 0.5)))
+    expected = params.delta_i + scale * from_mhz(_polyval(t_probe - 0.5, eta.a_coeffs))
     assert float(s04.delta(t_probe)) == pytest.approx(expected, abs=1e-4)
 
 
@@ -214,7 +218,7 @@ def test_transfer_matches_adglb_j18(params, q1d10_profile):
 
 def test_fit_eta_reproduces_published_coefficients(params, q1d10_profile):
     sched = adglb_schedule(params, q1d10_profile, 1.8)
-    fit = fit_eta_polynomials(sched)
+    fit = fit_eta_polynomials(sched, q1d10_profile.t_min)
     ref = EtaPolynomials.reference()
     for got, want in zip(fit.a_coeffs + fit.b_coeffs, ref.a_coeffs + ref.b_coeffs):
         assert abs(got - want) <= max(0.10 * abs(want), 0.01)
@@ -224,10 +228,10 @@ def test_fit_eta_idempotent(params):
     # rebuild a schedule from fitted coefficients, refit, compare
     ref = EtaPolynomials.reference()
     sched = transfer_schedule(params, 0.0, eta=ref)
-    fit = fit_eta_polynomials(sched)
+    fit = fit_eta_polynomials(sched, TRANSFER_T_MIN)
     for got, want in zip(fit.a_coeffs + fit.b_coeffs, ref.a_coeffs + ref.b_coeffs):
         assert got == pytest.approx(want, abs=5e-4)
-    refit = fit_eta_polynomials(transfer_schedule(params, 0.0, eta=fit))
+    refit = fit_eta_polynomials(transfer_schedule(params, 0.0, eta=fit), TRANSFER_T_MIN)
     for a, b in zip(refit.a_coeffs + refit.b_coeffs, fit.a_coeffs + fit.b_coeffs):
         assert a == pytest.approx(b, abs=1e-6)
 
@@ -235,7 +239,7 @@ def test_fit_eta_idempotent(params):
 def test_fit_eta_linear_sweep_degenerates_to_linear_term(params):
     profile = _flat_profile(t0=0.5, t1=4.5, gap=2.0, t_min=2.5)
     sched = adglb_schedule(params, profile, 1.0)
-    fit = fit_eta_polynomials(sched)
+    fit = fit_eta_polynomials(sched, profile.t_min)
     assert fit.a_coeffs[0] == pytest.approx(
         to_mhz((profile.delta_min - params.delta_i)) / 2.0, rel=1e-3
     )
@@ -243,22 +247,39 @@ def test_fit_eta_linear_sweep_degenerates_to_linear_term(params):
         assert abs(c) < 1e-3
 
 
-def test_fit_eta_requires_waypoint_metadata(params):
-    with pytest.raises(ValueError, match="waypoint"):
-        fit_eta_polynomials(standard_schedule(params))
+def test_fit_eta_rejects_a_t_min_that_is_not_a_knot(params, q1d10_profile):
+    with pytest.raises(ValueError, match="not a knot"):
+        fit_eta_polynomials(standard_schedule(params), 2.5)
+    sched = adglb_schedule(params, q1d10_profile, 1.8)
+    with pytest.raises(ValueError, match="not a knot"):
+        fit_eta_polynomials(sched, q1d10_profile.t_min + 1e-3)
+    with pytest.raises(ValueError, match="not a knot"):
+        fit_eta_polynomials(sched, params.ramp_time)
 
 
-def test_schedule_json_roundtrip(params, tmp_path):
-    sched = transfer_schedule(params, from_mhz(0.2))
-    path = tmp_path / "sched.json"
-    sched.save(path)
-    data = json.loads(path.read_text())
-    assert set(data) == {"t_r_us", "T_us", "omega0_over_2pi_MHz", "points", "kind"}
-    assert data["kind"] == "transfer(nu_d_mhz=0.2)"
-    loaded = PulseSchedule.load(path)
-    ts = np.linspace(0, params.total_time, 257)
-    assert np.allclose(loaded.delta(ts), sched.delta(ts), atol=1e-12)
-    assert loaded.omega0 == pytest.approx(sched.omega0)
+def test_schedule_json_roundtrip(params, q1d10_profile, tmp_path):
+    t_min = q1d10_profile.t_min
+    cases = {"transfer(nu_d_mhz=0.2)": (transfer_schedule(params, from_mhz(0.2)), TRANSFER_T_MIN),
+             "adglb(j=1)": (adglb_schedule(params, q1d10_profile, 1.0), t_min),
+             "adglb(j=1.8)": (adglb_schedule(params, q1d10_profile, 1.8), t_min)}
+    for kind, (sched, waypoint) in cases.items():
+        path = tmp_path / "sched.json"
+        sched.save(path)
+        data = json.loads(path.read_text())
+        assert set(data) == {"t_r_us", "T_us", "omega0_over_2pi_MHz", "points", "kind"}
+        assert data["kind"] == kind
+        loaded = PulseSchedule.load(path)
+        assert loaded.kind == sched.kind == kind
+        assert np.array_equal(loaded.knots, sched.knots)
+        assert np.array_equal(loaded.delta_times, sched.delta_times)
+        np.testing.assert_allclose(loaded.coeffs, sched.coeffs, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(loaded.delta_values, sched.delta_values, rtol=0.0, atol=1e-12)
+        times = [p["t_us"] for p in data["points"]]
+        assert [p["t_us"] for p in loaded.to_json()["points"]] == times
+        assert loaded.omega0 == pytest.approx(sched.omega0)
+        fit, refit = fit_eta_polynomials(sched, waypoint), fit_eta_polynomials(loaded, waypoint)
+        np.testing.assert_allclose(refit.a_coeffs + refit.b_coeffs, fit.a_coeffs + fit.b_coeffs,
+                                   rtol=0.0, atol=1e-9)
 
 
 def test_hardware_program_si_units(params):
@@ -268,15 +289,6 @@ def test_hardware_program_si_units(params):
     assert amp["values_rad_per_s"][1] == pytest.approx(params.omega0 * 1e6)
     assert det["values_rad_per_s"][0] == pytest.approx(params.delta_i * 1e6)
     assert det["interpolation"] == "piecewise_linear"
-
-
-def test_delta_offset_shift(params):
-    sched = standard_schedule(params)
-    shifted = sched.with_delta_offset(from_mhz(0.16))
-    ts = np.linspace(0, 5, 64)
-    assert np.allclose(
-        np.asarray(shifted.delta(ts)) - np.asarray(sched.delta(ts)), from_mhz(0.16)
-    )
 
 
 def test_transfer_drive_is_the_two_scaled_quartics(params):
@@ -290,10 +302,10 @@ def test_transfer_drive_is_the_two_scaled_quartics(params):
     scale_b = (params.delta_f - d_min) / (params.delta_f - from_mhz(1.38))
     rng = np.random.default_rng(3)
     ts = rng.uniform(t_r, 3.60, 1000)
-    expected = params.delta_i + scale_a * from_mhz(eta.eta_a(ts - t_r))
+    expected = params.delta_i + scale_a * from_mhz(_polyval(ts - t_r, eta.a_coeffs))
     np.testing.assert_allclose(sched.delta(ts), expected, rtol=0.0, atol=1e-12)
     ts = rng.uniform(3.60, t_hi, 1000)
-    expected = d_min + scale_b * from_mhz(eta.eta_b(ts - 3.60))
+    expected = d_min + scale_b * from_mhz(_polyval(ts - 3.60, eta.b_coeffs))
     np.testing.assert_allclose(sched.delta(ts), expected, rtol=0.0, atol=1e-12)
 
 
