@@ -7,6 +7,8 @@ time-dependent Schrodinger equation, and samples measurement histograms
 with a readout-error channel.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dynamics import (
     EvolutionResult,
     EvolveOptions,
@@ -32,9 +34,7 @@ from .hamiltonian import (
     HamiltonianTerms,
     assemble,
     build_basis,
-    dump_matrix,
     hamiltonian_terms,
-    hamiltonian_time_derivative,
 )
 from .isets import ISetStats, classify_bitstring, count_isets, mis_projector_support
 from .measurement import ShotHistogram, SpamModel, histogram_report, sample_shots
@@ -48,50 +48,8 @@ from .schedule import (
 )
 from .spectrum import GapProfile, eigenpairs_lowest2, scan_gap, track_mis_overlap
 
-__all__ = [
-    "AtomArray",
-    "BasisSet",
-    "BlockadeGraph",
-    "ConvergenceError",
-    "DimensionLimitError",
-    "EtaPolynomials",
-    "EvolutionResult",
-    "EvolveOptions",
-    "GapProfile",
-    "HamiltonianTerms",
-    "ISetStats",
-    "PhysicalParams",
-    "PulseSchedule",
-    "QuantumState",
-    "RydmisError",
-    "ShotHistogram",
-    "SpamModel",
-    "TwoLevelModel",
-    "adglb_schedule",
-    "assemble",
-    "blockade_graph",
-    "build_basis",
-    "build_two_level_model",
-    "builtin_instance",
-    "classify_bitstring",
-    "count_isets",
-    "dump_matrix",
-    "eigenpairs_lowest2",
-    "evolve",
-    "evolve_two_level",
-    "fit_eta_polynomials",
-    "from_mhz",
-    "generate_kpxp_chain",
-    "hamiltonian_terms",
-    "hamiltonian_time_derivative",
-    "histogram_report",
-    "mis_projector_support",
-    "sample_shots",
-    "scan_gap",
-    "standard_schedule",
-    "to_mhz",
-    "track_mis_overlap",
-    "transfer_schedule",
-]
+# the names imported above; the submodules they come from stay unexported
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 
 __version__ = "0.1.0"

@@ -17,14 +17,19 @@ knot of the drive.
 
 In the full evolution H depends linearly on (omega, delta), so each
 exponent is exactly H at an effective parameter pair, and its action is
-the Krylov exponential of ``_expm_lanczos``, whose basis grows by the
-same Gram-Schmidt step (``krylov.extend``) as the eigensolver's.  A run is
-reported only after halving the step cap reproduces the final
-ground-state population to the convergence tolerance; its cost (steps,
-Krylov exponentials, matvecs) and that check's delta go to one DEBUG
-line of this module's logger.  The ground population at each output
-time comes from ``spectrum.eigenpairs_lowest2``, warm-started from the
-ground vector of the previous output time.
+the Krylov exponential of ``_expm_lanczos`` on ``HamiltonianTerms.matvec``,
+whose basis grows by the same Gram-Schmidt step (``krylov.extend``) as
+the eigensolver's.  The ground population at each output time comes
+from ``spectrum.eigenpairs_lowest2`` on the operator of
+``hamiltonian.assemble``, warm-started from the ground vector of the
+previous output time.  A run is reported only after halving the step
+cap reproduces the final ground-state population to the convergence
+tolerance; its cost (steps, Krylov exponentials, and the matvecs of the
+stepping and the projections, read from the terms' counter) and that
+check's delta go to one DEBUG line of this module's logger.
+
+The two-level reduction needs <E1| dH/dt |E0>, and dH/dt is
+omega' sx + delta' zdiag, read off the same cached terms.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -39,7 +45,7 @@ from scipy.linalg.lapack import dstev
 
 from .configs import bits_to_configs, configs_to_bits
 from .errors import ConvergenceError
-from .hamiltonian import BasisSet, HamiltonianTerms, assemble, hamiltonian_time_derivative
+from .hamiltonian import BasisSet, HamiltonianTerms, assemble
 from .isets import count_isets, mis_projector_support
 from .krylov import extend
 from .schedule import PulseSchedule
@@ -168,7 +174,7 @@ def _cf4_step(
 ) -> np.ndarray:
     """One commutator-free 4th-order step from t to t + dt.
 
-    Adds its Krylov exponentials and matvecs to ``counts``.
+    Adds its Krylov exponentials to ``counts``.
     """
     t1 = t + _GL_NODES[0] * dt
     t2 = t + _GL_NODES[1] * dt
@@ -177,12 +183,8 @@ def _cf4_step(
     for w1, w2 in ((_CF4_W1, _CF4_W2), (_CF4_W2, _CF4_W1)):
         om_eff = 2.0 * (w1 * om1 + w2 * om2)
         de_eff = 2.0 * (w1 * de1 + w2 * de2)
-
-        def matvec(x, om=om_eff, de=de_eff):
-            counts["matvecs"] += 1
-            return h.matvec(om, de, x)
-
-        psi = _expm_lanczos(matvec, psi, dt / 2.0, KRYLOV_DIM, exp_tol)
+        psi = _expm_lanczos(partial(h.matvec, om_eff, de_eff), psi, dt / 2.0, KRYLOV_DIM,
+                            exp_tol)
     counts["exponentials"] += 2
     return psi
 
@@ -277,6 +279,7 @@ def evolve(
 
     t_end, knots = sched.total_time, sched.knots
     counts: Counter = Counter()
+    matvecs = h.matvecs
 
     def run(n_output: int, local_tol: float, max_step: float):
         exp_tol = local_tol / 10.0
@@ -310,7 +313,7 @@ def evolve(
         "evolve dim %d, %d knots, 2 runs: %d accepted and %d rejected steps, "
         "%d Krylov exponentials, %d matvecs, convergence-check delta %.3e",
         h.dim, knots.size, counts["accepted"], counts["rejected"],
-        counts["exponentials"], counts["matvecs"], check_delta,
+        counts["exponentials"], h.matvecs - matvecs, check_delta,
     )
     if check_delta >= opts.convergence_tol:
         raise ConvergenceError(
@@ -358,8 +361,10 @@ def build_two_level_model(
     times = profile.times
     coupling = np.empty(times.size)
     for i, t in enumerate(times):
-        dh = hamiltonian_time_derivative(h, sched, float(t))
-        num = np.vdot(profile.vecs1[i], dh @ profile.vecs0[i])
+        # dH/dt = omega' sx + delta' zdiag, from the right-hand derivatives at t
+        v0, v1 = profile.vecs0[i], profile.vecs1[i]
+        num = (sched.omega_dot(float(t)) * np.vdot(v1, h.sx @ v0)
+               + sched.delta_dot(float(t)) * np.vdot(v1, h.zdiag * v0))
         coupling[i] = float(np.real(num)) / float(profile.gaps[i])
     for i in range(1, coupling.size):
         if abs(coupling[i] + coupling[i - 1]) < abs(coupling[i] - coupling[i - 1]):

@@ -1,4 +1,4 @@
-"""Sparse Hamiltonian assembly over full or blockade-restricted bases.
+"""The Hamiltonian over full or blockade-restricted bases, as one operator.
 
 H(omega, delta) = sum_v [ (omega/2) sx_v + (delta/2) sz_v ]
                 + sum_(u,v)  u_uv  n_u n_v
@@ -12,11 +12,16 @@ Rydberg state.  Two interaction modes:
 * "constant": u_uv = U on blockade-graph edges only and zero elsewhere,
   the idealized single-U model.
 
-omega and delta enter linearly, so the matrix is cached as one
-off-diagonal bit-flip pattern plus two diagonal vectors and re-weighted
-per (omega, delta) query.  The interaction diagonal ``udiag`` is
-sum_(u<v) u_uv n_u n_v per state, built as occupancy rows times the
-pair-energy matrix, UDIAG_CHUNK states at a time.
+omega and delta enter linearly, so ``HamiltonianTerms`` caches H as the
+off-diagonal bit-flip pattern ``sx`` and two diagonal vectors, and its
+``matvec`` applies H(omega, delta) = omega sx + delta zdiag + udiag in one
+fused kernel.  That kernel is the package's only H psi, and it counts its
+calls.  ``assemble`` binds (omega, delta) to the terms as a
+``HamiltonianOperator`` with ``shape``, ``diagonal()`` and ``@``, so no
+solve sums a sparse H: the matrix-free operator of Weinberg & Bukov
+(QuSpin, SciPost Phys. 2, 003, 2017).  The interaction diagonal
+``udiag`` is sum_(u<v) u_uv n_u n_v per state, built as occupancy rows
+times the pair-energy matrix, UDIAG_CHUNK states at a time.
 
 A basis is one strictly ascending int64 array of configurations
 (``BasisSet.states``).  Positions in it are found by binary search, so
@@ -28,17 +33,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csr_matrix
 from scipy.sparse._sparsetools import csr_matvec
 
-from .configs import atom_bit, configs_to_bits, occupancy
+from .configs import atom_bit, occupancy
 from .errors import DimensionLimitError
 from .geometry import BlockadeGraph
 from .isets import independent_configs
-from .schedule import PulseSchedule
 
 FULL_BASIS_MAX_ATOMS = 24
 UDIAG_CHUNK = 1 << 15  # states per occupancy block when building udiag
@@ -71,9 +74,6 @@ class BasisSet:
         pos = np.where(self.states[pos] == configs, pos, -1)
         return int(pos) if pos.ndim == 0 else pos
 
-    def bitstrings(self) -> list[str]:
-        return configs_to_bits(self.states, self.n)
-
 
 def build_basis(g: BlockadeGraph, kind: str = "full") -> BasisSet:
     if kind == "full":
@@ -88,15 +88,19 @@ def build_basis(g: BlockadeGraph, kind: str = "full") -> BasisSet:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class HamiltonianTerms:
-    """Cached matrix pieces: assemble(omega, delta) = omega*sx + diag."""
+    """Cached pieces of H(omega, delta) = omega*sx + delta*zdiag + udiag.
+
+    ``matvecs`` counts the calls of ``matvec`` made on these terms.
+    """
 
     graph: BlockadeGraph
     basis: BasisSet
     sx: csr_matrix = field(repr=False, default=None)
     zdiag: np.ndarray = field(repr=False, default=None)
     udiag: np.ndarray = field(repr=False, default=None)
+    matvecs: int = field(default=0, init=False)
 
     @property
     def dim(self) -> int:
@@ -111,8 +115,12 @@ class HamiltonianTerms:
         """H(omega, delta) psi as a new array.
 
         The output starts as the diagonal part and one CSR kernel call
-        adds sx (omega psi) into it.
+        adds sx (omega psi) into it.  psi must be one vector of the basis:
+        the kernel does not check its indices against psi.
         """
+        if psi.shape != self.zdiag.shape:
+            raise ValueError(f"psi has shape {psi.shape}, the basis has dimension {self.dim}")
+        self.matvecs += 1
         data = self._sx_data_complex if np.iscomplexobj(psi) else self.sx.data
         out = (delta * self.zdiag + self.udiag) * psi
         csr_matvec(self.dim, self.dim, self.sx.indptr, self.sx.indices, data, omega * psi, out)
@@ -173,25 +181,29 @@ def hamiltonian_terms(
     )
 
 
-def assemble(h: HamiltonianTerms, omega: float, delta: float) -> csr_matrix:
-    """Sparse symmetric H at one (omega, delta) point, rad/us."""
-    return (omega * h.sx + diags(delta * h.zdiag + h.udiag)).tocsr()
+@dataclass(frozen=True, eq=False)
+class HamiltonianOperator:
+    """H(omega, delta) on cached terms, rad/us: ``shape``, ``diagonal()`` and ``@``.
+
+    ``H @ psi`` is ``terms.matvec(omega, delta, psi)``; nothing is summed
+    into a matrix.
+    """
+
+    terms: HamiltonianTerms
+    omega: float
+    delta: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.terms.dim, self.terms.dim
+
+    def diagonal(self) -> np.ndarray:
+        return self.delta * self.terms.zdiag + self.terms.udiag
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        return self.terms.matvec(self.omega, self.delta, psi)
 
 
-def hamiltonian_time_derivative(
-    h: HamiltonianTerms, sched: PulseSchedule, t: float
-) -> csr_matrix:
-    """dH/dt from the schedule's right-hand derivatives at t."""
-    om_dot = float(sched.omega_dot(t))
-    de_dot = float(sched.delta_dot(t))
-    return (om_dot * h.sx + diags(de_dot * h.zdiag)).tocsr()
-
-
-def dump_matrix(matrix: csr_matrix, path: str | Path) -> None:
-    """Coordinate-list text dump: row col real imag, one entry per line."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# dim {coo.shape[0]} nnz {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            z = complex(v)
-            fh.write(f"{r} {c} {z.real:.17g} {z.imag:.17g}\n")
+def assemble(h: HamiltonianTerms, omega: float, delta: float) -> HamiltonianOperator:
+    """H at one (omega, delta) point, rad/us, bound to the cached terms."""
+    return HamiltonianOperator(h, omega, delta)

@@ -1,13 +1,16 @@
 """One Lanczos kernel: Gram-Schmidt extension of a row-major Krylov basis.
 
 ``_orthogonalize`` is the one Gram-Schmidt step, and every Krylov basis
-grows through it.  It serves two solvers:
+grows through it.  It serves two solvers, which see the operator A only
+through a matvec callable and never as a matrix:
 
 - ``lowest_eigenpairs``, thick-restart Lanczos (Wu & Simon, SIAM J.
   Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a Hermitian
-  operator, used by ``spectrum.eigenpairs_lowest2``;
+  operator; ``spectrum.eigenpairs_lowest2`` passes it the ``@`` of a
+  ``hamiltonian.assemble`` operator, which is ``HamiltonianTerms.matvec``;
 - ``dynamics._expm_lanczos``, the Krylov exponential exp(-i tau A) v
-  (Saad, SIAM J. Numer. Anal. 29, 1992), through ``extend``.
+  (Saad, SIAM J. Numer. Anal. 29, 1992), through ``extend``, on the same
+  ``HamiltonianTerms.matvec``.
 
 The basis is stored row by row (``basis[j]`` is the j-th vector).  A
 step first projects out the last two rows, which hold the large

@@ -40,6 +40,8 @@ if TYPE_CHECKING:
 TRANSFER_DELTA_MIN0 = from_mhz(1.38)
 TRANSFER_T_MIN = 3.60
 EXPORT_POINTS = 1000  # table intervals over the sweep window of a curved drive
+EXPORT_MIN_STEP = 1e-3  # us: a uniform table point this close to a knot is dropped
+KNOT_SNAP = 1e-6  # us: fit_eta_polynomials reads a t_min this close to a knot as the knot
 
 
 def _horner(coeffs, s):
@@ -131,10 +133,16 @@ class PulseSchedule:
 
     @cached_property
     def delta_times(self) -> np.ndarray:
-        """Every knot, plus EXPORT_POINTS uniform sweep intervals if a piece is curved."""
+        """Every knot, plus EXPORT_POINTS uniform sweep intervals if a piece is curved.
+
+        A uniform point within EXPORT_MIN_STEP of a knot is left out, so
+        no table step is shorter than that unless two knots are.
+        """
         if not np.any(self.coeffs[:, :-2]):
             return self.knots
-        return np.union1d(self.knots, np.linspace(*self.sweep_window, EXPORT_POINTS + 1))
+        grid = np.linspace(*self.sweep_window, EXPORT_POINTS + 1)
+        near = np.abs(grid[:, None] - self.knots).min(axis=1) <= EXPORT_MIN_STEP
+        return np.union1d(self.knots, grid[~near])
 
     @cached_property
     def delta_values(self) -> np.ndarray:
@@ -347,13 +355,17 @@ def fit_eta_polynomials(sched: PulseSchedule, t_min: float) -> EtaPolynomials:
     delta - delta(t_min) against s = t - t_min on [t_min, T - t_r], both
     in 2pi x MHz.  The waypoint t_min must be a knot inside the sweep
     window: the gap minimum of an adglb drive, TRANSFER_T_MIN of a
-    transfer drive.  The fit runs on the export table, so fit ->
+    transfer drive.  A t_min within KNOT_SNAP of a knot is read as that
+    knot, so a waypoint printed to a few decimals, as in a gap CSV, still
+    names it.  The fit runs on the export table, so fit ->
     transfer_schedule -> fit is a fixed point; piece a is half-open
     because the seam knot at t_min belongs to piece b.
     """
     t_r, t_hi = sched.sweep_window
-    if not (t_r < t_min < t_hi and t_min in sched.knots):
+    knot = sched.knots[np.argmin(np.abs(sched.knots - t_min))]
+    if not (t_r < knot < t_hi and abs(knot - t_min) <= KNOT_SNAP):
         raise ValueError(f"t_min = {t_min} us is not a knot inside the sweep window")
+    t_min = float(knot)
     d_min = float(sched.delta(t_min))
     times, values = sched.delta_times, sched.delta_values
 

@@ -1,30 +1,36 @@
 """Lowest eigenpairs along a schedule and the gap profile.
 
-Every eigensolve goes through ``eigenpairs_lowest2``: an exact sort of
-the diagonal when the matrix is diagonal, the thick-restart Lanczos of
-``krylov.lowest_eigenpairs`` otherwise.  scan_gap samples the sweep
-window uniformly, warm-starting each solve from the previous sample's
-two eigenvectors, and golden-section-refines the gap minimum below the
-sample resolution, warm-starting each probe from the nearest sample;
-the refined point is inserted into the profile so downstream consumers
-(schedule synthesis, two-level reduction) see the true minimum.
+Every eigensolve goes through ``eigenpairs_lowest2``, which takes the
+operator of ``hamiltonian.assemble``: at omega = 0 H is diagonal and its
+diagonal is sorted exactly; otherwise the thick-restart Lanczos of
+``krylov.lowest_eigenpairs`` runs on ``HamiltonianTerms.matvec``.
+scan_gap samples the sweep window uniformly, warm-starting each solve
+from the previous sample's two eigenvectors, and golden-section-refines
+the gap minimum below the sample resolution, warm-starting each probe
+from the nearest sample; the refined point is inserted into the profile
+so downstream consumers (schedule synthesis, two-level reduction) see
+the true minimum.  Its cost (samples, probes, matvecs, wall time) goes
+to one DEBUG line of this module's logger.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .configs import bits_to_configs
 from .errors import ConvergenceError
 from .krylov import lowest_eigenpairs
 
 if TYPE_CHECKING:
-    from .hamiltonian import BasisSet, HamiltonianTerms
+    from .hamiltonian import BasisSet, HamiltonianOperator, HamiltonianTerms
     from .schedule import PulseSchedule
+
+logger = logging.getLogger(__name__)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 REFINE_TOL = 1e-3  # us, width of the golden-section bracket around the gap minimum
@@ -63,42 +69,38 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def eigenpairs_lowest2(
-    matrix,
+    H: "HamiltonianOperator",
     maxiter: int = 20000,
     v0: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Two smallest eigenvalues with orthonormal, phase-fixed vectors.
+    """Two smallest eigenvalues of H with orthonormal, phase-fixed vectors.
 
-    The matrix is Hermitian, sparse or dense.  A diagonal matrix is
-    sorted exactly (stable sort, unit vectors), so a repeated lowest
-    diagonal entry comes back twice.  Any other matrix goes to the
-    thick-restart Lanczos of ``krylov.lowest_eigenpairs``: v0
+    H is an operator of ``hamiltonian.assemble``.  At omega = 0 its
+    diagonal is sorted exactly (stable sort, unit vectors), so a repeated
+    lowest diagonal entry comes back twice.  Otherwise the thick-restart
+    Lanczos of ``krylov.lowest_eigenpairs`` runs on ``H @``: v0
     warm-starts it, maxiter caps its matvecs, and ConvergenceError
     reports a solve that did not converge.
 
     A single-vector Krylov space holds one vector per distinct
     eigenvalue, so Lanczos cannot return a repeated lowest eigenvalue
-    twice.  This package's Hamiltonians have a simple ground state
-    whenever Omega != 0: the sign gauge |s> -> (-1)^popcount(s) |s> makes
-    every off-diagonal entry -|Omega|/2, single flips connect both the
-    full and the blockade basis, and Perron-Frobenius then makes the
-    lowest eigenvalue simple.  At Omega = 0 the matrix is diagonal.
+    twice.  These Hamiltonians have a simple ground state whenever
+    omega != 0: the sign gauge |s> -> (-1)^popcount(s) |s> makes every
+    off-diagonal entry -|omega|/2, single flips connect both the full and
+    the blockade basis, and Perron-Frobenius then makes the lowest
+    eigenvalue simple.
     """
-    matrix = sparse.csr_array(matrix)  # shares the arrays of a CSR input
-    dim = matrix.shape[0]
+    dim = H.shape[0]
     if dim < 2:
         raise ValueError("need dimension >= 2")
-    diag = matrix.diagonal()
-    if np.count_nonzero(matrix.data) == np.count_nonzero(diag):
-        # every stored nonzero sits on the diagonal
-        order = np.argsort(diag.real, kind="stable")[:2]
-        vecs = np.zeros((2, dim), dtype=matrix.dtype)
+    if H.omega == 0:
+        diag = H.diagonal()
+        order = np.argsort(diag, kind="stable")[:2]
+        vecs = np.zeros((2, dim))
         vecs[[0, 1], order] = 1.0
-        vals = diag.real[order]
+        vals = diag[order]
     else:
-        vals, vecs = lowest_eigenpairs(
-            lambda x: matrix @ x, dim, matrix.dtype, 2, v0=v0, max_matvecs=maxiter
-        )
+        vals, vecs = lowest_eigenpairs(H.__matmul__, dim, float, 2, v0=v0, max_matvecs=maxiter)
     return float(vals[0]), float(vals[1]), _fix_phase(vecs[0]), _fix_phase(vecs[1])
 
 
@@ -119,6 +121,7 @@ def scan_gap(
         raise ValueError("need n_samples >= 16")
     from .hamiltonian import assemble
 
+    start, matvecs = time.perf_counter(), h.matvecs
     t_lo, t_hi = sched.sweep_window if t_span is None else t_span
     times = np.linspace(t_lo, t_hi, n_samples)
 
@@ -181,6 +184,10 @@ def scan_gap(
     candidates = [(e1 - e0, t) for t, (e0, e1, _, _) in probes.items()]
     candidates.append((gaps[i_min], times[i_min]))
     g_min, t_min = min(candidates)
+    logger.debug(
+        "scan_gap dim %d: %d samples, %d golden-section probes, %d matvecs, %.3f s",
+        h.dim, n_samples, len(probes), h.matvecs - matvecs, time.perf_counter() - start,
+    )
 
     if not np.any(np.isclose(times, t_min, atol=1e-12)):
         # t_min is a probe

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rydmis.isets
-from rydmis import PulseSchedule
+from rydmis import PulseSchedule, fit_eta_polynomials
 from rydmis.cli import main, verify_manifest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -191,6 +192,31 @@ def test_reproduce_fig2(tmp_path, capsys):
     assert len(rows) in (240, 241)
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3 and all(line.startswith("[PASS]") for line in printed)
+
+
+@pytest.mark.parametrize("figure", ["fig1cd", "fig3a", "fig6a"])
+def test_reproduce_figure_passes(figure, tmp_path, capsys):
+    # scan, adglb design and evolution on Q1D_4, Q1D_7 and Q1D_10
+    assert main(["reproduce", "--figure", figure, "--out-dir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and all(line.startswith("[PASS]") for line in printed)
+    assert list(tmp_path.glob("*.csv"))
+
+
+def test_eta_fit_reads_the_pipeline_gap_and_schedule(tmp_path):
+    # gap.csv prints t_us to six decimals, so its minimum row lies within
+    # 1e-6 us of the waypoint knot of schedule.json but not on it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": "Q1D_7", "method": "adglb", "n_output": 5,
+                                  "shots": 20}))
+    assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    header, rows = _csv(tmp_path / "gap.csv")
+    gaps = [float(row[header.index("gap")]) for row in rows]
+    t_min = float(rows[int(np.argmin(gaps))][header.index("t_us")])
+    sched = PulseSchedule.load(tmp_path / "schedule.json")
+    knot = float(sched.knots[np.argmin(np.abs(sched.knots - t_min))])
+    assert 0.0 < abs(knot - t_min) <= 1e-6
+    assert fit_eta_polynomials(sched, t_min) == fit_eta_polynomials(sched, knot)
 
 
 def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path):

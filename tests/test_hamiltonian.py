@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
 
 import rydmis.isets
@@ -11,20 +12,26 @@ from rydmis import (
     assemble,
     blockade_graph,
     build_basis,
+    build_two_level_model,
     builtin_instance,
     count_isets,
-    dump_matrix,
     from_mhz,
     hamiltonian_terms,
-    hamiltonian_time_derivative,
+    scan_gap,
     standard_schedule,
 )
+from rydmis.configs import configs_to_bits
 
 from oracles import (
     oracle_dense_hamiltonian,
     oracle_independent_configs,
     oracle_interaction_diagonal,
 )
+
+
+def _dense(op):
+    """The dense matrix of an operator, column k being op @ e_k."""
+    return np.column_stack([op @ e for e in np.eye(op.shape[1])])
 
 
 def _single_atom(params):
@@ -42,7 +49,7 @@ def _pair(params, spacing=5.0, interaction="constant"):
 def test_full_basis_ordering(params):
     g, _ = _pair(params)
     basis = build_basis(g, "full")
-    assert basis.bitstrings() == ["00", "01", "10", "11"]
+    assert configs_to_bits(basis.states, 2) == ["00", "01", "10", "11"]
     assert basis.position_of(2) == 2
     assert basis.position_of(7) == -1
 
@@ -50,7 +57,7 @@ def test_full_basis_ordering(params):
 def test_blockade_basis_excludes_violations(params):
     g, _ = _pair(params)
     basis = build_basis(g, "blockade")
-    assert basis.bitstrings() == ["00", "01", "10"]
+    assert configs_to_bits(basis.states, 2) == ["00", "01", "10"]
     assert basis.position_of(3) == -1
 
 
@@ -113,13 +120,13 @@ def test_dimension_guard():
 
 def test_single_atom_diagonal(params):
     h = _single_atom(params)
-    m = assemble(h, 0.0, from_mhz(1.0)).toarray()
+    m = _dense(assemble(h, 0.0, from_mhz(1.0)))
     assert np.allclose(m, np.diag([np.pi, -np.pi]))
 
 
 def test_single_atom_rabi_spectrum(params):
     h = _single_atom(params)
-    m = assemble(h, from_mhz(1.0), 0.0).toarray()
+    m = _dense(assemble(h, from_mhz(1.0), 0.0))
     vals = np.linalg.eigvalsh(m)
     assert vals == pytest.approx([-np.pi, np.pi])
 
@@ -127,7 +134,7 @@ def test_single_atom_rabi_spectrum(params):
 def test_blockaded_pair_energies_constant_u(params):
     g, h = _pair(params, interaction="constant")
     delta = from_mhz(1.7)
-    m = assemble(h, 0.0, delta).toarray()
+    m = _dense(assemble(h, 0.0, delta))
     u = g.u_per_edge
     # basis order 00, 01, 10, 11
     assert np.allclose(np.diag(m), [delta, 0.0, 0.0, -delta + u])
@@ -135,8 +142,9 @@ def test_blockaded_pair_energies_constant_u(params):
 
 def test_hermitian_exactly(params):
     _, h = _q1d10(params)
-    m = assemble(h, from_mhz(0.7), from_mhz(-1.3))
-    assert (m - m.T).nnz == 0
+    assert (h.sx - h.sx.T).nnz == 0
+    m = _dense(assemble(h, from_mhz(0.7), from_mhz(-1.3)))
+    assert np.array_equal(m, m.T)
 
 
 def test_matches_independent_kron_oracle(params):
@@ -144,7 +152,7 @@ def test_matches_independent_kron_oracle(params):
     g = blockade_graph(arr, params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
     omega, delta = from_mhz(0.9), from_mhz(-0.4)
-    ours = assemble(h, omega, delta).toarray()
+    ours = _dense(assemble(h, omega, delta))
     oracle = oracle_dense_hamiltonian(arr.positions, params.c6, omega, delta)
     assert np.allclose(ours, oracle, atol=1e-12)
 
@@ -160,38 +168,77 @@ def test_interaction_diagonal_matches_pairwise_oracle(params, instance, kind):
 
 
 def test_matvec_consistent_with_assemble(params):
-    _, h = _q1d10(params)
+    # H psi against the Kronecker oracle, for a real and a complex psi;
+    # the operator's @ is that same kernel and its diagonal is H's
+    arr = builtin_instance("Q1D_7")
+    g = blockade_graph(arr, params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
     rng = np.random.default_rng(0)
     omega, delta = from_mhz(1.0), from_mhz(0.3)
+    oracle = oracle_dense_hamiltonian(arr.positions, params.c6, omega, delta)
+    op = assemble(h, omega, delta)
     for v in (rng.normal(size=h.dim), rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)):
         out = h.matvec(omega, delta, v)
         assert out.dtype == v.dtype
-        assert np.allclose(out, assemble(h, omega, delta) @ v)
+        assert np.allclose(out, oracle @ v, rtol=0.0, atol=1e-12)
+        assert np.array_equal(op @ v, out)
+    assert op.shape == (h.dim, h.dim)
+    np.testing.assert_allclose(op.diagonal(), np.diag(oracle), rtol=0.0, atol=1e-12)
+
+
+def test_assemble_binds_the_cached_terms_without_a_matrix(params):
+    _, h = _q1d10(params)
+    op = assemble(h, from_mhz(1.0), from_mhz(0.3))
+    assert not sparse.issparse(op) and op.terms is h
+    assert (op.omega, op.delta) == (from_mhz(1.0), from_mhz(0.3))
+    before = h.matvecs
+    for _ in range(3):
+        op @ np.ones(h.dim)
+    assert h.matvecs - before == 3
+    # the kernel does not bound-check its indices, so a vector of the
+    # wrong length is refused before it runs
+    for bad in (np.ones(1), np.ones(h.dim + 1), np.ones((h.dim, 1))):
+        with pytest.raises(ValueError, match="dimension 1024"):
+            op @ bad
+    assert h.matvecs - before == 3
 
 
 def test_linearity_in_delta(params):
     _, h = _q1d10(params)
     omega = from_mhz(1.0)
     d1, d2 = from_mhz(-1.0), from_mhz(2.0)
-    m1 = assemble(h, omega, d1)
-    m2 = assemble(h, omega, d2)
-    shift = (m2 - m1).toarray()
+    shift = _dense(assemble(h, omega, d2)) - _dense(assemble(h, omega, d1))
     assert np.allclose(shift, np.diag((d2 - d1) * h.zdiag))
 
 
 def test_schedule_derivative_stages(params):
-    _, h = _q1d10(params)
+    # The two-level coupling is <E1| dH/dt |E0> / gap with dH/dt taken
+    # from the schedule's right-hand derivatives; the Kronecker oracle
+    # gives dH/dt = H(omega', delta') - H(0, 0), the interaction being
+    # time independent.
+    arr = builtin_instance("Q1D_4")
+    g = blockade_graph(arr, params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
     sched = standard_schedule(params)
-    # stage (ii): linear sweep, omega flat
+    profile = scan_gap(h, sched, n_samples=16)
+    model = build_two_level_model(h, sched, profile)
     rate = (params.delta_f - params.delta_i) / (params.total_time - 2 * params.ramp_time)
-    dm = hamiltonian_time_derivative(h, sched, 2.0).toarray()
-    assert np.allclose(dm, np.diag(rate * h.zdiag))
-    # stage (i): omega ramp at constant detuning
-    dm1 = hamiltonian_time_derivative(h, sched, 0.2).toarray()
-    assert np.allclose(dm1, (params.omega0 / params.ramp_time) * h.sx.toarray())
-    # breakpoints take the right-hand slope
-    dm_tr = hamiltonian_time_derivative(h, sched, params.ramp_time).toarray()
-    assert np.allclose(dm_tr, np.diag(rate * h.zdiag))
+    ramp = params.omega0 / params.ramp_time
+    static = oracle_dense_hamiltonian(arr.positions, params.c6, 0.0, 0.0)
+    # stage (ii) from its first sample t_r, where omega has just stopped
+    # rising, to the last one, T - t_r, where it starts falling
+    last = profile.times.size - 1
+    for i, (om_dot, de_dot) in ((0, (0.0, rate)), (last // 2, (0.0, rate)),
+                                (last, (-ramp, 0.0))):
+        t = profile.times[i]
+        assert (sched.omega_dot(t), sched.delta_dot(t)) == pytest.approx((om_dot, de_dot))
+        dh = oracle_dense_hamiltonian(arr.positions, params.c6, om_dot, de_dot) - static
+        want = np.vdot(profile.vecs1[i], dh @ profile.vecs0[i]).real / profile.gaps[i]
+        assert abs(want) > 1e-3
+        # the sign of the coupling is gauge smoothed along the grid
+        assert abs(model.coupling[i]) == pytest.approx(abs(want), rel=1e-10)
+    assert profile.times[0] == params.ramp_time
+    assert profile.times[last] == params.total_time - params.ramp_time
 
 
 def test_full_vs_blockade_ground_energy_deep_blockade(params):
@@ -217,14 +264,16 @@ def test_full_vs_blockade_ground_energy_deep_blockade(params):
         h_blk = hamiltonian_terms(big, build_basis(big, "blockade"), interaction="constant")
         # full-basis position == configuration value
         iset = h_blk.basis.states
+        assert (h_full.sx[iset][:, iset] != h_blk.sx).nnz == 0
+        assert np.array_equal(h_full.zdiag[iset], h_blk.zdiag)
+        assert np.array_equal(h_full.udiag[iset], h_blk.udiag)
         shifts = []
         for t in times:
             omega, delta = float(sched.omega(t)), float(sched.delta(t))
-            m_full = assemble(h_full, omega, delta)
-            m_blk = assemble(h_blk, omega, delta)
-            assert (m_full[iset][:, iset] != m_blk).nnz == 0
-            e_full = eigh(m_full.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0]
-            e_blk = eigh(m_blk.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0]
+            m_full = _dense(assemble(h_full, omega, delta))
+            m_blk = _dense(assemble(h_blk, omega, delta))
+            e_full = eigh(m_full, eigvals_only=True, subset_by_index=(0, 0))[0]
+            e_blk = eigh(m_blk, eigvals_only=True, subset_by_index=(0, 0))[0]
             assert e_full <= e_blk + 1e-9
             shifts.append(big.u_per_edge * (e_full - e_blk))
         scaled_shift[scale] = np.array(shifts)
@@ -238,17 +287,3 @@ def test_tails_mode_requires_geometry():
         hamiltonian_terms(g, build_basis(g, "full"), interaction="tails")
     with pytest.raises(ValueError, match="interaction mode"):
         hamiltonian_terms(g, build_basis(g, "full"), interaction="bogus")
-
-
-def test_matrix_dump_format(params, tmp_path):
-    g, h = _pair(params)
-    m = assemble(h, from_mhz(1.0), from_mhz(0.5))
-    path = tmp_path / "matrix.txt"
-    dump_matrix(m, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("# dim 4 nnz")
-    rebuilt = np.zeros((4, 4), dtype=complex)
-    for line in lines[1:]:
-        r, c, re_, im_ = line.split()
-        rebuilt[int(r), int(c)] = float(re_) + 1j * float(im_)
-    assert np.allclose(rebuilt, m.toarray())

@@ -15,7 +15,7 @@ def test_restarted_basis_stays_orthonormal(params, q1d10):
         bases.append(x.base)  # x is a row of the solver's basis
         return matrix @ x
 
-    krylov.lowest_eigenpairs(matvec, h.dim, matrix.dtype, 2)
+    krylov.lowest_eigenpairs(matvec, h.dim, float, 2)
     assert len(bases) > krylov.MAX_BASIS  # at least one thick restart
     q = bases[-1]
     assert q.shape == (krylov.MAX_BASIS + 1, h.dim)

@@ -21,7 +21,7 @@ from rydmis import (
     to_mhz,
     transfer_schedule,
 )
-from rydmis.schedule import TRANSFER_T_MIN
+from rydmis.schedule import EXPORT_MIN_STEP, TRANSFER_T_MIN
 
 
 def _flat_profile(t0=0.5, t1=4.5, gap=1.0, t_min=2.5):
@@ -255,6 +255,14 @@ def test_fit_eta_rejects_a_t_min_that_is_not_a_knot(params, q1d10_profile):
         fit_eta_polynomials(sched, q1d10_profile.t_min + 1e-3)
     with pytest.raises(ValueError, match="not a knot"):
         fit_eta_polynomials(sched, params.ramp_time)
+
+
+def test_export_table_has_no_step_below_a_nanosecond(params, q1d10_profile):
+    for sched in (adglb_schedule(params, q1d10_profile, 1.5), transfer_schedule(params, 0.0)):
+        times = sched.delta_times
+        assert np.all(np.isin(sched.knots, times))
+        assert np.diff(times).min() > EXPORT_MIN_STEP, sched.kind
+        assert times.size > 1000
 
 
 def test_schedule_json_roundtrip(params, q1d10_profile, tmp_path):

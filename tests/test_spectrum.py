@@ -1,16 +1,18 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.sparse import block_diag, diags
-from scipy.sparse.linalg import norm as sparse_norm
+from scipy.sparse import block_diag, csr_matrix, diags
 
 import rydmis.spectrum
 from rydmis import (
     AtomArray,
+    BasisSet,
     ConvergenceError,
     GapProfile,
+    HamiltonianTerms,
     blockade_graph,
     build_basis,
     builtin_instance,
@@ -18,6 +20,7 @@ from rydmis import (
     eigenpairs_lowest2,
     from_mhz,
     hamiltonian_terms,
+    krylov,
     mis_projector_support,
     assemble,
     scan_gap,
@@ -26,8 +29,21 @@ from rydmis import (
 )
 
 
+def _dense(op):
+    """The dense matrix of an operator, column k being op @ e_k."""
+    return np.column_stack([op @ e for e in np.eye(op.shape[1])])
+
+
+def _omega0_hamiltonian(diagonal):
+    """An omega = 0 Hamiltonian whose diagonal is the given one (as udiag)."""
+    d = np.asarray(diagonal, dtype=float)
+    terms = HamiltonianTerms(graph=None, basis=BasisSet("custom", 16, np.arange(d.size)),
+                             sx=csr_matrix((d.size, d.size)), zdiag=np.ones(d.size), udiag=d)
+    return assemble(terms, 0.0, 0.0)
+
+
 def test_diagonal_matrix_eigenpairs():
-    e0, e1, v0, v1 = eigenpairs_lowest2(diags([1.0, 3.0, 7.0]).tocsr())
+    e0, e1, v0, v1 = eigenpairs_lowest2(_omega0_hamiltonian([1.0, 3.0, 7.0]))
     assert (e0, e1) == pytest.approx((1.0, 3.0))
     assert np.allclose(np.abs(v0), [1, 0, 0])
     assert np.allclose(np.abs(v1), [0, 1, 0])
@@ -66,7 +82,7 @@ def test_q1d10_final_ground_vector_is_mis(params, q1d10):
     matrix = assemble(h, params.omega0, params.delta_f)
     e0, e1, v0, _ = eigenpairs_lowest2(matrix)
     # dense full diagonalization as the oracle
-    vals, vecs = np.linalg.eigh(matrix.toarray())
+    vals, vecs = np.linalg.eigh(_dense(matrix))
     assert e0 == pytest.approx(vals[0], abs=1e-9)
     assert e1 == pytest.approx(vals[1], abs=1e-9)
     assert abs(np.vdot(vecs[:, 0], v0)) == pytest.approx(1.0, abs=1e-9)
@@ -81,7 +97,7 @@ def test_eigen_residuals(params):
     for t in (0.8, 2.1, 3.3, 4.4):
         m = assemble(h, float(sched.omega(t)), float(sched.delta(t)))
         e0, e1, v0, v1 = eigenpairs_lowest2(m)
-        norm = np.abs(m).sum(axis=1).max()  # inf-norm upper bound on ||H||
+        norm = np.linalg.norm(_dense(m), np.inf)  # upper bound on ||H||
         assert np.linalg.norm(m @ v0 - e0 * v0) < 1e-8 * norm
         assert np.linalg.norm(m @ v1 - e1 * v1) < 1e-8 * norm
         assert abs(np.vdot(v0, v1)) < 1e-9
@@ -95,7 +111,7 @@ def test_phase_convention(params, q1d10_profile):
 def test_iterative_path_large_diagonal():
     rng = np.random.default_rng(5)
     d = rng.permutation(np.arange(5000, dtype=float))
-    e0, e1, v0, v1 = eigenpairs_lowest2(diags(d).tocsr())
+    (e0, e1), (v0, v1) = krylov.lowest_eigenpairs(lambda x: d * x, d.size, float, 2)
     assert (e0, e1) == pytest.approx((0.0, 1.0), abs=1e-6)
     assert int(np.argmax(np.abs(v0))) == int(np.argmin(d))
 
@@ -107,7 +123,7 @@ def test_iterative_path_zero_eigenvalue_in_coupled_block():
     rest = diags(rng.permutation(np.arange(3.0, 5001.0)))
     m = block_diag([np.ones((2, 2)), rest], format="csr")
     before = (m.data.copy(), m.indices.copy(), m.indptr.copy())
-    e0, e1, v0, v1 = eigenpairs_lowest2(m)
+    (e0, e1), (v0, v1) = krylov.lowest_eigenpairs(lambda x: m @ x, m.shape[0], float, 2)
     assert (e0, e1) == pytest.approx((0.0, 2.0), abs=1e-6)
     assert np.allclose(np.abs(v0[:2]), np.sqrt(0.5)) and v0[0] * v0[1] < 0
     assert np.allclose(np.abs(v1[:2]), np.sqrt(0.5)) and v1[0] * v1[1] > 0
@@ -121,9 +137,10 @@ def test_iterative_path_matches_dense_on_q1d10(params, q1d10, monkeypatch):
     for t in (0.3, 1.5, 3.6, 4.7):
         m = assemble(h, float(sched.omega(t)), float(sched.delta(t)))
         e0, e1, v0, v1 = eigenpairs_lowest2(m)
-        ref = eigh(m.toarray(), eigvals_only=True, subset_by_index=(0, 1))
+        dense = _dense(m)
+        ref = eigh(dense, eigvals_only=True, subset_by_index=(0, 1))
         assert (e0, e1) == pytest.approx(tuple(ref), abs=1e-9)
-        scale = sparse_norm(m, np.inf)
+        scale = np.linalg.norm(dense, np.inf)
         assert np.linalg.norm(m @ v0 - e0 * v0) < 1e-8 * scale
         assert np.linalg.norm(m @ v1 - e1 * v1) < 1e-8 * scale
         assert abs(v0 @ v1) < 1e-10
@@ -141,7 +158,7 @@ def test_warm_start_inside_an_invariant_block_still_finds_e1():
     vals, vecs = np.linalg.eigh(first)
     v0 = np.zeros(m.shape[0])
     v0[:2] = vecs[:, 0]
-    e0, e1, w0, w1 = eigenpairs_lowest2(m, v0=v0)
+    (e0, e1), (w0, w1) = krylov.lowest_eigenpairs(lambda x: m @ x, m.shape[0], float, 2, v0=v0)
     assert (e0, e1) == pytest.approx((vals[0], 1.0), abs=1e-9)
     assert abs(w1[2]) == pytest.approx(1.0, abs=1e-9)
     assert abs(w0 @ w1) < 1e-10
@@ -150,7 +167,7 @@ def test_warm_start_inside_an_invariant_block_still_finds_e1():
 def test_degenerate_diagonal_is_sorted_exactly():
     rng = np.random.default_rng(7)
     d = rng.permutation(np.concatenate([[0.0, 0.0], np.arange(1.0, 40.0)]))
-    e0, e1, v0, v1 = eigenpairs_lowest2(diags(d).tocsr())
+    e0, e1, v0, v1 = eigenpairs_lowest2(_omega0_hamiltonian(d))
     assert (e0, e1) == (0.0, 0.0)
     zeros = np.flatnonzero(d == 0.0)
     assert np.array_equal(v0, np.eye(d.size)[zeros[0]])
@@ -173,6 +190,26 @@ def test_solve_logs_its_cost(params, q1d10, caplog):
     assert "dim 1024" in record.message
     for counter in ("matvecs", "restarts", "second Gram-Schmidt passes", "residual"):
         assert counter in record.message
+
+
+def test_scan_logs_its_cost(params, caplog, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    matvecs = []
+    matvec = HamiltonianTerms.matvec
+
+    def spy(self, *args):
+        matvecs.append(1)
+        return matvec(self, *args)
+
+    monkeypatch.setattr(HamiltonianTerms, "matvec", spy)
+    with caplog.at_level(logging.DEBUG, logger="rydmis.spectrum"):
+        scan_gap(h, standard_schedule(params), n_samples=16, store_vectors=False)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "rydmis.spectrum"]
+    assert line.startswith("scan_gap dim 16: 16 samples, ")
+    assert int(re.search(r"(\d+) golden-section probes", line).group(1)) > 0
+    assert f" {len(matvecs)} matvecs" in line and matvecs
+    assert re.search(r", \d+\.\d{3} s$", line)
 
 
 def test_gap_minimum_location_q1d10(params, q1d10_profile):
