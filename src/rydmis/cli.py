@@ -101,6 +101,8 @@ class RunConfig:
         of numbers.  Raises ValueError for a field or value it cannot read.
         """
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} must hold a JSON object of fields")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -214,7 +216,7 @@ def cmd_isets(run: Run, args) -> int:
         "instance": arr.name,
         "n": g.n,
         "edges": len(g.edges),
-        "r": {str(k): v for k, v in sorted(stats.r.items()) if k >= args.min_size},
+        "r": {str(k): v for k, v in sorted(stats.r.items())},
         "mis_size": stats.mis_size,
         "hp": stats.hp,
     }
@@ -513,7 +515,7 @@ ONE_SCHEDULE = {"--out": REQUIRED, "instance": REQUIRED, "method": SCHEDULE,
 # field, and each value holds argparse keywords that replace the generated ones
 SUBCOMMANDS = {
     "isets": (cmd_isets, "independent-set census and hardness",
-              {"--min-size": {"type": int, "default": 0}, "instance": REQUIRED, **PHYS}),
+              {"instance": REQUIRED, **PHYS}),
     "gap": (cmd_gap, "gap profile along a schedule (CSV)", ONE_SCHEDULE),
     "evolve": (cmd_evolve, "Schrodinger evolution (CSV)",
                {**ONE_SCHEDULE, "n_output": {}, "--state-out": {}}),

@@ -37,13 +37,20 @@ def bits_to_configs(bits: Sequence[str], n: int) -> np.ndarray:
     digits = np.array(bits, dtype=f"S{n}").view(np.uint8).reshape(-1, n) - _ZERO
     if np.any(digits > 1):
         raise ValueError("bitstring must contain only 0 and 1")
-    return digits @ _place_values(n)
+    return occupancy_to_configs(digits)
 
 
 def occupancy(configs: np.ndarray, n: int) -> np.ndarray:
     """Boolean (len(configs), n) array: entry [s, v] is True when atom v+1
     of configuration s is in the Rydberg state."""
     return (np.asarray(configs, dtype=np.int64)[:, None] & _place_values(n)) != 0
+
+
+def occupancy_to_configs(rows: np.ndarray) -> np.ndarray:
+    """Configurations of a (m, n) array of 0/1 atom states, the inverse of
+    ``occupancy``, as an int64 array."""
+    rows = np.asarray(rows)
+    return rows.astype(np.int64, copy=False) @ _place_values(rows.shape[1])
 
 
 def configs_to_bits(configs: np.ndarray, n: int) -> list[str]:

@@ -17,12 +17,13 @@ knot of the drive.
 
 In the full evolution H depends linearly on (omega, delta), so each
 exponent is exactly H at an effective parameter pair, and its action is
-the Krylov exponential of ``_expm_lanczos`` on ``HamiltonianTerms.matvec``,
-whose basis grows by the same Gram-Schmidt step (``krylov.extend``) as
-the eigensolver's.  The ground population at each output time comes
-from ``spectrum.eigenpairs_lowest2`` on the operator of
+``krylov.expm_lanczos`` on ``HamiltonianTerms.matvec``: the Krylov basis
+lives in ``krylov`` and grows by the same Gram-Schmidt step as the
+eigensolver's.  The ground population at each output time comes from
+``spectrum.eigenpairs_lowest2`` on the operator of
 ``hamiltonian.assemble``, warm-started from the ground vector of the
-previous output time.  A run is reported only after halving the step
+previous output time, and the MIS overlap sums the populations of the
+census's ``mis_configs``.  A run is reported only after halving the step
 cap reproduces the final ground-state population to the convergence
 tolerance; its cost (steps, Krylov exponentials, and the matvecs of the
 stepping and the projections, read from the terms' counter) and that
@@ -41,13 +42,12 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dstev
 
 from .configs import bits_to_configs, configs_to_bits
 from .errors import ConvergenceError
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble
-from .isets import count_isets, mis_projector_support
-from .krylov import extend
+from .isets import count_isets
+from .krylov import expm_lanczos
 from .schedule import PulseSchedule
 from .spectrum import GapProfile, eigenpairs_lowest2
 
@@ -63,6 +63,7 @@ DEGENERACY_TOL = 1e-6  # rad/us: diagonal entries this close form the ground spa
 TWO_LEVEL_TOL = 1e-8  # evolve_two_level's local error tolerance
 TWO_LEVEL_MAX_STEP = 0.01  # us
 TWO_LEVEL_MIN_STEP = 1e-12  # us
+TWO_LEVEL_N_OUTPUT = 400  # evolve_two_level's output times
 
 logger = logging.getLogger(__name__)
 
@@ -92,7 +93,10 @@ class QuantumState:
         if np.any(counts > 1):
             bits = configs_to_bits(states[counts > 1][:1], n)[0]
             raise ValueError(f"state file lists configuration {bits} more than once")
-        amps = np.array([complex(e["re"], e["im"]) for e in entries])
+        try:
+            amps = np.array([complex(e["re"], e["im"]) for e in entries])
+        except TypeError:
+            raise ValueError("state file amplitude re and im must be numbers") from None
         basis = BasisSet(kind=str(data.get("kind", "custom")), n=n, states=states)
         return cls(basis=basis, amplitudes=amps[first])
 
@@ -122,47 +126,6 @@ class EvolveOptions:
                              "output times (t = 0 and t = T)")
 
 
-def _expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> np.ndarray:
-    """exp(-i tau A) v for Hermitian A via a Lanczos Krylov subspace.
-
-    The basis grows by ``krylov.extend`` (in a buffer of 8 rows, doubled
-    when full) until the residual estimate drops below tol.  Falls back
-    to two half-interval applications if m_max vectors are reached first.
-    """
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0.0:
-        return v.copy()
-    basis = np.empty((min(8, m_max), v.size), dtype=complex)
-    basis[0] = v / beta0
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)
-    for j in range(m_max):
-        c, w, beta = extend(matvec, basis, j)
-        alphas[j] = c[j].real
-        y = _expm_tridiag(alphas[: j + 1], betas[:j], tau)
-        if beta < 1e-14 or beta * abs(y[-1]) * min(abs(tau), 1.0) < tol:
-            return beta0 * (y @ basis[: j + 1])
-        if j + 1 < m_max:
-            betas[j] = beta
-            if j + 1 == len(basis):
-                basis = np.concatenate((basis, np.empty_like(basis[: m_max - j - 1])))
-            basis[j + 1] = w / beta
-    half = _expm_lanczos(matvec, v, tau / 2.0, m_max, tol / 2.0)
-    return _expm_lanczos(matvec, half, tau / 2.0, m_max, tol / 2.0)
-
-
-def _expm_tridiag(alphas: np.ndarray, betas: np.ndarray, tau: float) -> np.ndarray:
-    """First column of exp(-i tau T) for the Lanczos tridiagonal T."""
-    if alphas.size == 1:
-        return np.array([np.exp(-1j * tau * alphas[0])])
-    vals, vecs, info = dstev(alphas, betas, compute_v=1)
-    if info != 0:
-        raise ConvergenceError(
-            f"dstev failed on the {alphas.size}-dim Lanczos tridiagonal (info {info})"
-        )
-    return vecs @ (np.exp(-1j * tau * vals) * vecs[0, :].conj())
-
-
 def _cf4_step(
     h: HamiltonianTerms,
     sched: PulseSchedule,
@@ -183,8 +146,8 @@ def _cf4_step(
     for w1, w2 in ((_CF4_W1, _CF4_W2), (_CF4_W2, _CF4_W1)):
         om_eff = 2.0 * (w1 * om1 + w2 * om2)
         de_eff = 2.0 * (w1 * de1 + w2 * de2)
-        psi = _expm_lanczos(partial(h.matvec, om_eff, de_eff), psi, dt / 2.0, KRYLOV_DIM,
-                            exp_tol)
+        psi = expm_lanczos(partial(h.matvec, om_eff, de_eff), psi, dt / 2.0, KRYLOV_DIM,
+                           exp_tol)
     counts["exponentials"] += 2
     return psi
 
@@ -272,9 +235,7 @@ def evolve(
     if pos0 < 0:
         raise ValueError("basis does not contain the all-ground configuration")
 
-    mis_bits = mis_projector_support(h.graph, count_isets(h.graph))
-    mis_configs = bits_to_configs(mis_bits, h.graph.n)
-    mis_positions = h.basis.position_of(mis_configs)
+    mis_positions = h.basis.position_of(count_isets(h.graph).mis_configs)
     mis_positions = mis_positions[mis_positions >= 0]
 
     t_end, knots = sched.total_time, sched.knots
@@ -372,14 +333,14 @@ def build_two_level_model(
     return TwoLevelModel(times=times.copy(), coupling=coupling, gap=profile.gaps.copy())
 
 
-def evolve_two_level(m: TwoLevelModel, n_output: int = 400) -> tuple[np.ndarray, np.ndarray]:
+def evolve_two_level(m: TwoLevelModel) -> tuple[np.ndarray, np.ndarray]:
     """Leakage P_E1(t) of the two-level model from (c0, c1) = (1, 0).
 
     Runs on the same step-doubling loop and commutator-free step as the
     full evolution, with the 2x2 exponentials evaluated in closed form.
     The knots are ``m.times``, where the linear interpolation of the
     coupling and the gap kinks, so no step crosses one.  Returns
-    (times, p_e1).
+    (times, p_e1) at TWO_LEVEL_N_OUTPUT evenly spaced times.
     """
 
     def exp_apply(a: float, b: float, tau: float, c: np.ndarray) -> np.ndarray:
@@ -409,7 +370,7 @@ def evolve_two_level(m: TwoLevelModel, n_output: int = 400) -> tuple[np.ndarray,
         return c
 
     knots = np.asarray(m.times, dtype=float)
-    times = np.linspace(knots[0], knots[-1], n_output)
+    times = np.linspace(knots[0], knots[-1], TWO_LEVEL_N_OUTPUT)
     c = np.array([1.0 + 0.0j, 0.0j])
     p_e1 = np.empty(times.size)
     p_e1[0] = 0.0

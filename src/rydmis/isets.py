@@ -2,12 +2,13 @@
 
 Every independent set of the graph is listed once, as the ascending int64
 array of ``independent_configs`` that is also the blockade basis.  The
-census reads everything else off that array: the counts R_k by size are
-a bincount of its popcounts, the maximum independent sets (MIS) are its
-rows of the largest popcount, and the hardness parameter is
-R_(m-1) / (m * R_m) where m is the MIS size.  Measured configurations
-are classified against the graph as whole arrays, one pass per blockade
-edge.
+census, ``count_isets``, reads everything else off that array and is the
+only source of MIS facts: the counts R_k by size are a bincount of its
+popcounts, the maximum independent sets (MIS) are its configurations of
+the largest popcount, kept in ascending order as ``mis_configs``, and the
+hardness parameter is R_(m-1) / (m * R_m) where m is the MIS size.
+Measured configurations are classified against the graph as whole
+arrays, one pass per blockade edge.
 """
 
 from __future__ import annotations
@@ -16,26 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import atom_bit, bits_to_configs, configs_to_bits, occupancy
+from .configs import atom_bit, configs_to_bits
 from .errors import DimensionLimitError
 from .geometry import BlockadeGraph
 
 BLOCKADE_BASIS_MAX_STATES = 1 << 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ISetStats:
     """Exact independent-set census of a graph.
 
     r maps set size k to the count R_k (every k from 0 to mis_size is
-    present).  mis_sets holds all maximum independent sets as sorted
-    0-based index tuples, in lexicographic order.  hp is the hardness
+    present).  mis_configs holds all maximum independent sets as the
+    ascending int64 array of their configurations.  hp is the hardness
     parameter.
     """
 
     r: dict[int, int]
     mis_size: int
-    mis_sets: tuple[tuple[int, ...], ...]
+    mis_configs: np.ndarray
     hp: float
 
 
@@ -61,7 +62,7 @@ def independent_configs(g: BlockadeGraph) -> np.ndarray:
 
 
 def count_isets(g: BlockadeGraph) -> ISetStats:
-    """Exact independent-set counts R_k for all k, MIS list and hardness.
+    """Exact independent-set counts R_k for all k, MIS configurations and hardness.
 
     Raises DimensionLimitError when the graph has more independent sets
     than BLOCKADE_BASIS_MAX_STATES.
@@ -70,48 +71,33 @@ def count_isets(g: BlockadeGraph) -> ISetStats:
     sizes = np.bitwise_count(states)
     counts = np.bincount(sizes).tolist()
     mis_size = len(counts) - 1
-    # nonzero walks the occupancy rows in order, so each row's atoms come out sorted
-    rows = occupancy(states[sizes == mis_size], g.n)
-    atoms = np.nonzero(rows)[1].reshape(len(rows), mis_size)
-    mis_sets = tuple(sorted(map(tuple, atoms.tolist())))
     hp = counts[mis_size - 1] / (mis_size * counts[mis_size]) if mis_size >= 1 else 0.0
-    return ISetStats(r=dict(enumerate(counts)), mis_size=mis_size, mis_sets=mis_sets, hp=hp)
+    return ISetStats(r=dict(enumerate(counts)), mis_size=mis_size,
+                     mis_configs=states[sizes == mis_size], hp=hp)
 
 
-def classify_bitstring(
-    g: BlockadeGraph, bits: str | np.ndarray, stats: ISetStats | None = None
-) -> dict:
-    """Classify measurement outcomes against the blockade graph.
+def classify_bitstring(g: BlockadeGraph, configs: np.ndarray, stats: ISetStats) -> dict:
+    """Classify measured configurations against the blockade graph.
 
-    bits is one bitstring, where bits[v] = '1' means atom v+1 was read
-    out in the Rydberg state, or an int array of configurations in the
-    encoding of ``configs``.  Returns {"is_independent", "size", "is_mis",
-    "is_mis_minus_1"}: plain values for a bitstring, arrays shaped like
-    the configurations for an array.
+    configs is an int array of configurations in the encoding of the
+    ``configs`` module; stats is the graph's census.  Returns {"is_independent",
+    "size", "is_mis", "is_mis_minus_1"}, each an array shaped like configs.
     """
-    if isinstance(bits, str):
-        configs = bits_to_configs([bits], g.n)
-    else:
-        configs = np.asarray(bits)
-        if configs.dtype.kind not in "iu" or np.any((configs < 0) | ((configs >> g.n) != 0)):
-            raise ValueError(f"configurations of {g.n} atoms are integers in [0, 2^{g.n})")
-        configs = configs.astype(np.int64, copy=False)
-    if stats is None:
-        stats = count_isets(g)
+    configs = np.asarray(configs)
+    if configs.dtype.kind not in "iu" or np.any((configs < 0) | ((configs >> g.n) != 0)):
+        raise ValueError(f"configurations of {g.n} atoms are integers in [0, 2^{g.n})")
+    configs = configs.astype(np.int64, copy=False)
     size = np.bitwise_count(configs)
     independent = np.ones(configs.shape, dtype=bool)
     for u, v in g.edges:
         pair = atom_bit(g.n, u) | atom_bit(g.n, v)
         independent &= (configs & pair) != pair
-    out = {
+    return {
         "is_independent": independent,
         "size": size,
         "is_mis": independent & (size == stats.mis_size),
         "is_mis_minus_1": independent & (size == stats.mis_size - 1),
     }
-    if isinstance(bits, str):
-        return {k: v.item() for k, v in out.items()}
-    return out
 
 
 def mis_projector_support(
@@ -120,10 +106,7 @@ def mis_projector_support(
     """All MIS configurations as bitstrings, in lexicographic order.
 
     These span the subspace used for MIS-overlap and MIS-probability
-    computations.  They are the independent sets of the largest size,
-    read off ``independent_configs`` in its ascending order.
+    computations.  They are the census's ``mis_configs``, so a given
+    stats costs no enumeration.
     """
-    states = independent_configs(g)
-    sizes = np.bitwise_count(states)
-    mis_size = sizes.max() if stats is None else stats.mis_size
-    return tuple(configs_to_bits(states[sizes == mis_size], g.n))
+    return tuple(configs_to_bits((stats or count_isets(g)).mis_configs, g.n))

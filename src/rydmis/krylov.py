@@ -1,16 +1,17 @@
 """One Lanczos kernel: Gram-Schmidt extension of a row-major Krylov basis.
 
 ``_orthogonalize`` is the one Gram-Schmidt step, and every Krylov basis
-grows through it.  It serves two solvers, which see the operator A only
+grows through it.  This module holds both solvers that build such a
+basis, and no other module allocates one.  They see the operator A only
 through a matvec callable and never as a matrix:
 
 - ``lowest_eigenpairs``, thick-restart Lanczos (Wu & Simon, SIAM J.
   Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a Hermitian
   operator; ``spectrum.eigenpairs_lowest2`` passes it the ``@`` of a
   ``hamiltonian.assemble`` operator, which is ``HamiltonianTerms.matvec``;
-- ``dynamics._expm_lanczos``, the Krylov exponential exp(-i tau A) v
-  (Saad, SIAM J. Numer. Anal. 29, 1992), through ``extend``, on the same
-  ``HamiltonianTerms.matvec``.
+- ``expm_lanczos``, the Krylov exponential exp(-i tau A) v (Saad, SIAM
+  J. Numer. Anal. 29, 1992), through ``_extend``; ``dynamics`` runs it
+  on the same ``HamiltonianTerms.matvec`` for every CF4 exponential.
 
 The basis is stored row by row (``basis[j]`` is the j-th vector).  A
 step first projects out the last two rows, which hold the large
@@ -28,6 +29,7 @@ import logging
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dstev
 
 from .errors import ConvergenceError
 
@@ -41,6 +43,7 @@ START_SEED = 20000  # seed of that component, so every solve is reproducible
 BREAKDOWN = 1e-12  # ||w|| / ||A v|| below which the Krylov space is invariant
 ROTATE_CHUNK = 8192  # columns rotated at a time when restarting
 DGKS_RATIO = 1 / np.sqrt(2)  # norm kept by a full pass below which it is repeated
+MAX_MATVECS = 20000  # lowest_eigenpairs raises ConvergenceError beyond this many matvecs
 
 
 def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -70,7 +73,7 @@ def _orthogonalize(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, boo
     return c, float(np.sqrt(after)), repeated
 
 
-def extend(
+def _extend(
     matvec: Callable[[np.ndarray], np.ndarray], basis: np.ndarray, j: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One Lanczos step: A basis[j] orthogonalized against basis[:j+1].
@@ -116,7 +119,6 @@ def lowest_eigenpairs(
     dtype,
     n_eig: int,
     v0: np.ndarray | None = None,
-    max_matvecs: int = 20000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n_eig lowest eigenpairs of the Hermitian operator ``matvec``.
 
@@ -131,10 +133,8 @@ def lowest_eigenpairs(
     next vector is a random one orthogonal to the basis.
 
     Returns (values, vectors) with the vectors as rows.  Raises
-    ConvergenceError when max_matvecs matvecs leave a pair unconverged.
+    ConvergenceError when MAX_MATVECS matvecs leave a pair unconverged.
     """
-    if max_matvecs < 1:
-        raise ValueError("need max_matvecs >= 1")
     rng = np.random.default_rng(START_SEED)
     start = _start_vector(dim, v0, rng)
     m = min(MAX_BASIS, dim)
@@ -144,7 +144,7 @@ def lowest_eigenpairs(
     k = matvecs = restarts = repeats = 0
     anorm = 0.0
     while True:
-        n = min(m, k + max_matvecs - matvecs)
+        n = min(m, k + MAX_MATVECS - matvecs)
         beta = 0.0
         for j in range(k, n):
             w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
@@ -170,7 +170,7 @@ def lowest_eigenpairs(
         residual = float(beta * np.abs(y[n - 1, :n_eig]).max())
         if n >= n_eig and residual <= RESIDUAL_TOL * anorm:
             break
-        if matvecs >= max_matvecs:
+        if matvecs >= MAX_MATVECS:
             raise ConvergenceError(
                 f"Lanczos did not converge in {matvecs} matvecs ({restarts} restarts): "
                 f"residual {residual:.3e} > {RESIDUAL_TOL * anorm:.3e}"
@@ -188,3 +188,44 @@ def lowest_eigenpairs(
         dim, matvecs, restarts, repeats, residual,
     )
     return theta[:n_eig], y[:, :n_eig].T @ basis[:n]
+
+
+def expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> np.ndarray:
+    """exp(-i tau A) v for Hermitian A via a Lanczos Krylov subspace.
+
+    The basis grows by ``_extend`` (in a buffer of 8 rows, doubled when
+    full) until the residual estimate drops below tol.  Falls back to two
+    half-interval applications if m_max vectors are reached first.
+    """
+    beta0 = np.linalg.norm(v)
+    if beta0 == 0.0:
+        return v.copy()
+    basis = np.empty((min(8, m_max), v.size), dtype=complex)
+    basis[0] = v / beta0
+    alphas = np.empty(m_max)
+    betas = np.empty(m_max)
+    for j in range(m_max):
+        c, w, beta = _extend(matvec, basis, j)
+        alphas[j] = c[j].real
+        y = _expm_tridiag(alphas[: j + 1], betas[:j], tau)
+        if beta < 1e-14 or beta * abs(y[-1]) * min(abs(tau), 1.0) < tol:
+            return beta0 * (y @ basis[: j + 1])
+        if j + 1 < m_max:
+            betas[j] = beta
+            if j + 1 == len(basis):
+                basis = np.concatenate((basis, np.empty_like(basis[: m_max - j - 1])))
+            basis[j + 1] = w / beta
+    half = expm_lanczos(matvec, v, tau / 2.0, m_max, tol / 2.0)
+    return expm_lanczos(matvec, half, tau / 2.0, m_max, tol / 2.0)
+
+
+def _expm_tridiag(alphas: np.ndarray, betas: np.ndarray, tau: float) -> np.ndarray:
+    """First column of exp(-i tau T) for the Lanczos tridiagonal T."""
+    if alphas.size == 1:
+        return np.array([np.exp(-1j * tau * alphas[0])])
+    vals, vecs, info = dstev(alphas, betas, compute_v=1)
+    if info != 0:
+        raise ConvergenceError(
+            f"dstev failed on the {alphas.size}-dim Lanczos tridiagonal (info {info})"
+        )
+    return vecs @ (np.exp(-1j * tau * vals) * vecs[0, :].conj())

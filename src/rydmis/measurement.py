@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .configs import bits_to_configs, configs_to_bits
+from .configs import bits_to_configs, configs_to_bits, occupancy, occupancy_to_configs
 from .geometry import BlockadeGraph
 from .isets import classify_bitstring, count_isets
 
@@ -74,18 +74,11 @@ def sample_shots(
 
     rng = np.random.default_rng(np.random.PCG64(seed))
     drawn = rng.choice(probs.size, size=n_shots, p=probs)
-    configs = state.basis.states[drawn].astype(np.int64)
-
-    shift = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (configs[:, None] >> shift[None, :]) & 1
-
+    rydberg = occupancy(state.basis.states[drawn], n)
     if spam is not None:
-        u = rng.random(bits.shape)
-        flip = np.where(bits == 1, u < spam.p_g_given_r, u < spam.p_r_given_g)
-        bits = bits ^ flip
-
-    weights = 1 << shift
-    observed = (bits * weights[None, :]).sum(axis=1)
+        u = rng.random(rydberg.shape)
+        rydberg ^= np.where(rydberg, u < spam.p_g_given_r, u < spam.p_r_given_g)
+    observed = occupancy_to_configs(rydberg)
     outcomes, cnts = np.unique(observed, return_counts=True)
     counts = dict(zip(configs_to_bits(outcomes, n), cnts.tolist()))
 

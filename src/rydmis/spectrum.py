@@ -70,7 +70,6 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 def eigenpairs_lowest2(
     H: "HamiltonianOperator",
-    maxiter: int = 20000,
     v0: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Two smallest eigenvalues of H with orthonormal, phase-fixed vectors.
@@ -79,8 +78,8 @@ def eigenpairs_lowest2(
     diagonal is sorted exactly (stable sort, unit vectors), so a repeated
     lowest diagonal entry comes back twice.  Otherwise the thick-restart
     Lanczos of ``krylov.lowest_eigenpairs`` runs on ``H @``: v0
-    warm-starts it, maxiter caps its matvecs, and ConvergenceError
-    reports a solve that did not converge.
+    warm-starts it, and ConvergenceError reports a solve that did not
+    converge within ``krylov.MAX_MATVECS`` matvecs.
 
     A single-vector Krylov space holds one vector per distinct
     eigenvalue, so Lanczos cannot return a repeated lowest eigenvalue
@@ -100,7 +99,7 @@ def eigenpairs_lowest2(
         vecs[[0, 1], order] = 1.0
         vals = diag[order]
     else:
-        vals, vecs = lowest_eigenpairs(H.__matmul__, dim, float, 2, v0=v0, max_matvecs=maxiter)
+        vals, vecs = lowest_eigenpairs(H.__matmul__, dim, float, 2, v0=v0)
     return float(vals[0]), float(vals[1]), _fix_phase(vecs[0]), _fix_phase(vecs[1])
 
 

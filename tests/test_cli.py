@@ -55,7 +55,8 @@ def test_shuffled_state_file_samples_the_same(pipeline_dir, tmp_path):
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
 
-@pytest.mark.parametrize("defect", ["duplicate", "length", "non_binary"])
+@pytest.mark.parametrize("defect", ["duplicate", "length", "non_binary", "amplitude",
+                                    "null_amplitude"])
 def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
     data = json.loads((pipeline_dir / "state.json").read_text())
     entries = data["entries"]
@@ -66,13 +67,17 @@ def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
         entries.append(dict(half))
     elif defect == "length":
         entries[1]["bits"] += "0"
-    else:
+    elif defect == "non_binary":
         entries[1]["bits"] = "2" + entries[1]["bits"][1:]
+    else:
+        entries[1]["re"] = "abc" if defect == "amplitude" else None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert _sample(bad, tmp_path / "out.json") == 1
-    message = {"duplicate": "more than once", "length": "length", "non_binary": "0 and 1"}
-    assert message[defect] in capsys.readouterr().err
+    message = {"duplicate": "more than once", "length": "length", "non_binary": "0 and 1",
+               "amplitude": "must be numbers", "null_amplitude": "must be numbers"}
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message[defect] in err
 
 
 def _csv(path):
@@ -143,10 +148,10 @@ def test_twolevel_writes_the_leakage_series(tmp_path):
 
 
 def test_isets_prints_the_census(capsys):
-    assert main(["isets", "--instance", "Q1D_7", "--min-size", "2"]) == 0
+    assert main(["isets", "--instance", "Q1D_7"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["n"] == 7 and out["mis_size"] == 3
-    assert min(map(int, out["r"])) == 2
+    assert list(map(int, out["r"])) == list(range(out["mis_size"] + 1))
 
 
 def test_isets_above_the_guard_exits_1(monkeypatch, capsys):
@@ -250,6 +255,16 @@ def test_config_values_are_read_as_their_field_types(tmp_path, capsys):
     assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "bad")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "samples" in err
+
+
+@pytest.mark.parametrize("top", [["instance"], 5], ids=["list", "number"])
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(top))
+    assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object" in err
+    assert not (tmp_path / "run").exists()
 
 
 SUBCOMMANDS = ("isets", "gap", "design", "evolve", "twolevel", "sample", "pipeline",

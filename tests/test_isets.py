@@ -6,13 +6,19 @@ from rydmis import (
     AtomArray,
     BlockadeGraph,
     DimensionLimitError,
+    EvolveOptions,
     blockade_graph,
+    build_basis,
     builtin_instance,
     classify_bitstring,
     count_isets,
+    evolve,
     generate_kpxp_chain,
+    hamiltonian_terms,
     mis_projector_support,
+    standard_schedule,
 )
+from rydmis.configs import bits_to_configs, configs_to_bits
 
 from oracles import oracle_iset_counts, oracle_mis_bitstrings
 
@@ -27,7 +33,7 @@ def test_blockaded_pair_census(params):
     assert stats.mis_size == 1
     assert stats.r == {0: 1, 1: 2}
     assert stats.hp == pytest.approx(0.5)
-    assert stats.mis_sets == ((0,), (1,))
+    assert configs_to_bits(stats.mis_configs, 2) == ["01", "10"]
 
 
 def test_triangle_projector_support(params):
@@ -111,18 +117,13 @@ def test_adding_edge_never_increases_counts(params):
 def test_classify_bitstrings_on_n7_chain(params):
     g = blockade_graph(generate_kpxp_chain(7, 8.0), params)
     stats = count_isets(g)
-    c = classify_bitstring(g, "1001001", stats)
-    assert c == {
-        "is_independent": True, "size": 3, "is_mis": True, "is_mis_minus_1": False
+    c = classify_bitstring(g, bits_to_configs(["1001001", "0000000", "1100000"], g.n), stats)
+    assert {k: v.tolist() for k, v in c.items()} == {
+        "is_independent": [True, True, False],
+        "size": [3, 0, 2],
+        "is_mis": [True, False, False],
+        "is_mis_minus_1": [False, False, False],
     }
-    zeros = classify_bitstring(g, "0000000", stats)
-    assert zeros["is_independent"] and zeros["size"] == 0 and not zeros["is_mis"]
-    adjacent = classify_bitstring(g, "1100000", stats)
-    assert not adjacent["is_independent"] and not adjacent["is_mis"]
-    with pytest.raises(ValueError, match="length"):
-        classify_bitstring(g, "101", stats)
-    with pytest.raises(ValueError):
-        classify_bitstring(g, "100100x", stats)
 
 
 def test_n7_mis_is_rggrggr(params):
@@ -156,11 +157,11 @@ def test_mis_retention_cap(params):
     g = blockade_graph(AtomArray(name="pairs", positions=tuple(pos)), params)
     stats = count_isets(g)
     assert stats.r[8] == 256
-    want = [tuple(2 * k + (mask >> k & 1) for k in range(8)) for mask in range(256)]
-    assert stats.mis_sets == tuple(sorted(want))
-    assert mis_projector_support(g, stats) == tuple(
-        sorted("".join("01"[v in s] for v in range(16)) for s in stats.mis_sets)
-    )
+    # each pair contributes "01" or "10"; ascending configurations sort the strings
+    want = sorted("".join("10"[mask >> k & 1] + "01"[mask >> k & 1] for k in range(8))
+                  for mask in range(256))
+    assert configs_to_bits(stats.mis_configs, g.n) == want
+    assert mis_projector_support(g, stats) == tuple(want)
 
 
 def test_classify_array_matches_each_bitstring(params):
@@ -171,9 +172,44 @@ def test_classify_array_matches_each_bitstring(params):
     for key, values in arrays.items():
         assert values.shape == configs.shape
         assert values.tolist() == [
-            classify_bitstring(g, format(c, "07b"), stats)[key] for c in range(1 << g.n)
+            classify_bitstring(g, bits_to_configs([format(c, "07b")], g.n), stats)[key].item()
+            for c in range(1 << g.n)
         ]
     # a list of bitstrings would otherwise be read as decimal integers
     for bad in (np.array([-1]), np.array([1 << g.n]), np.array([0.5]), ["1001001"]):
         with pytest.raises(ValueError, match="integers in"):
             classify_bitstring(g, bad, stats)
+
+
+def _count_enumerations(monkeypatch):
+    """The graphs passed to independent_configs from here on."""
+    calls = []
+    enumerate_all = rydmis.isets.independent_configs
+
+    def spy(g):
+        calls.append(g)
+        return enumerate_all(g)
+
+    monkeypatch.setattr(rydmis.isets, "independent_configs", spy)
+    return calls
+
+
+def test_projector_support_reads_the_census(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_10"), params)
+    stats = count_isets(g)
+    calls = _count_enumerations(monkeypatch)
+    bits = mis_projector_support(g, stats)
+    assert calls == []
+    assert bits_to_configs(bits, g.n).tolist() == stats.mis_configs.tolist()
+
+
+def test_evolve_enumerates_once(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    calls = _count_enumerations(monkeypatch)
+    res = evolve(h, standard_schedule(params), EvolveOptions(n_output=2))
+    assert len(calls) == 1
+    # the MIS overlap is the population of the census's configurations
+    positions = h.basis.position_of(count_isets(g).mis_configs)
+    assert res.final_p_mis == pytest.approx(
+        float(np.sum(np.abs(res.final_state.amplitudes[positions]) ** 2)), abs=1e-15)

@@ -44,8 +44,24 @@ def test_extend_copies_no_basis_block():
     scale = rng.standard_normal(dim)
     tracemalloc.start()
     try:
-        krylov.extend(lambda x: scale * x, basis, 15)
+        krylov._extend(lambda x: scale * x, basis, 15)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * dim * 16  # a conj() copy of the 16-row block alone is 16 * dim * 16 B
+
+
+def test_krylov_exponential_allocates_only_the_basis_it_uses():
+    dim = 1 << 16
+    rng = np.random.default_rng(7)
+    diag = rng.standard_normal(dim)
+    v = rng.standard_normal(dim) + 0j
+    tracemalloc.start()
+    try:
+        out = krylov.expm_lanczos(lambda x: diag * x, v, 0.02, 48, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(out, np.exp(-0.02j * diag) * v, rtol=0.0, atol=1e-9)
+    # six Krylov vectors suffice; a basis of krylov_dim = 48 rows alone is 50 MB
+    assert peak < 48 * dim * 16 / 2

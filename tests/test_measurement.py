@@ -13,6 +13,7 @@ from rydmis import (
     histogram_report,
     sample_shots,
 )
+from rydmis.configs import bits_to_configs
 
 
 def _random_state(basis, seed):
@@ -61,7 +62,8 @@ def test_report_classes_match_per_bitstring_reference(td25):
 
     want = dict.fromkeys(("mis", "mis_minus_1", "other_independent", "non_independent"), 0)
     for bits, cnt in hist.counts.items():
-        c = classify_bitstring(g, bits, stats)
+        c = {k: v[0] for k, v in classify_bitstring(g, bits_to_configs([bits], g.n),
+                                                     stats).items()}
         if not c["is_independent"]:
             want["non_independent"] += cnt
         elif c["is_mis"]:
