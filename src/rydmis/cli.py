@@ -92,6 +92,12 @@ class RunConfig:
     spam: bool = False
     j_grid: list[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        # checked here, so a config that cannot finish fails before its first stage
+        if self.shots < 1:
+            raise ValueError(f"shots = {self.shots}: a run needs at least one shot")
+        EvolveOptions(n_output=self.n_output)  # raises for fewer than 2 output times
+
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         """The config of a JSON file, each value read as its default's type.

@@ -1,12 +1,14 @@
 """Time-dependent Schrodinger integration and the two-level reduction.
 
-One adaptive step-doubling loop, ``_step_doubling``, runs both the
-full evolution (``evolve``) and the two-level reduction
-(``evolve_two_level``).  It advances the state by a 4th-order
-commutator-free step (Alvermann & Fehske, J. Comput. Phys. 230, 2011):
-two exponentials exp(-i h (w1 H(t1) + w2 H(t2))) at the Gauss-Legendre
-nodes t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Step-doubling (Richardson)
-error control accepts or shrinks each trial step.
+The full evolution (``evolve``) and the two-level reduction
+(``evolve_two_level``) share one time-stepper.  ``_cf4_step`` is the
+4th-order commutator-free step (Alvermann & Fehske, J. Comput. Phys.
+230, 2011): two exponentials exp(-i h (w1 H(t1) + w2 H(t2))) at the
+Gauss-Legendre nodes t1,2 = t + (1/2 -+ sqrt(3)/6) h.  Each evolution
+passes it only its drive's parameter pair and the exponential of H at a
+pair.  ``_step_doubling`` is the one loop over output times: it yields
+the state at each of them, and step-doubling (Richardson) error control
+accepts or shrinks each trial step.
 
 Both drives are polynomial between knots: the Rabi trapezoid and the
 detuning pieces of a ``PulseSchedule`` (``sched.knots``), and the
@@ -15,11 +17,13 @@ kink inside a step breaks the scheme's 4th order, and the controller
 then shrinks and rejects steps around it.  So no trial step crosses a
 knot of the drive.
 
-In the full evolution H depends linearly on (omega, delta), so each
-exponent is exactly H at an effective parameter pair, and its action is
+In the full evolution the pair is (omega, delta), and an exponential is
 ``krylov.expm_lanczos`` on ``HamiltonianTerms.matvec``: the Krylov basis
 lives in ``krylov`` and grows by the same Gram-Schmidt step as the
-eigensolver's.  The ground population at each output time comes from
+eigensolver's.  In the two-level reduction the pair is (K, gap), and an
+exponential is the closed-form 2x2 rotation.
+
+The ground population at each output time comes from
 ``spectrum.eigenpairs_lowest2`` on the operator of
 ``hamiltonian.assemble``, warm-started from the ground vector of the
 previous output time, and the MIS overlap sums the populations of the
@@ -39,7 +43,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -124,77 +128,76 @@ class EvolveOptions:
         if self.n_output < 2:
             raise ValueError(f"n_output = {self.n_output}: an evolution needs at least 2 "
                              "output times (t = 0 and t = T)")
+        for name in ("local_tol", "convergence_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value}: a tolerance must be finite and > 0")
 
 
 def _cf4_step(
-    h: HamiltonianTerms,
-    sched: PulseSchedule,
+    at: Callable[[float], tuple[float, float]],
+    expm: Callable[[float, float, float, np.ndarray], np.ndarray],
     t: float,
     dt: float,
     psi: np.ndarray,
-    exp_tol: float,
-    counts: Counter,
 ) -> np.ndarray:
     """One commutator-free 4th-order step from t to t + dt.
 
-    Adds its Krylov exponentials to ``counts``.
+    ``at(t)`` is the drive's parameter pair (p, q) at t, and H is linear
+    in it; ``expm(p, q, tau, psi)`` applies exp(-i tau H(p, q)) to psi.
+    Each exponential is (dt/2) H at twice the weighted pair: w1 + w2 = 1/2
+    and the rescalings are powers of two, so this is exact.
     """
-    t1 = t + _GL_NODES[0] * dt
-    t2 = t + _GL_NODES[1] * dt
-    om1, om2 = float(sched.omega(t1)), float(sched.omega(t2))
-    de1, de2 = float(sched.delta(t1)), float(sched.delta(t2))
+    (p1, q1), (p2, q2) = at(t + _GL_NODES[0] * dt), at(t + _GL_NODES[1] * dt)
     for w1, w2 in ((_CF4_W1, _CF4_W2), (_CF4_W2, _CF4_W1)):
-        om_eff = 2.0 * (w1 * om1 + w2 * om2)
-        de_eff = 2.0 * (w1 * de1 + w2 * de2)
-        psi = expm_lanczos(partial(h.matvec, om_eff, de_eff), psi, dt / 2.0, KRYLOV_DIM,
-                           exp_tol)
-    counts["exponentials"] += 2
+        psi = expm(2.0 * (w1 * p1 + w2 * p2), 2.0 * (w1 * q1 + w2 * q2), dt / 2.0, psi)
     return psi
 
 
 def _step_doubling(
     step: Callable[[float, float, np.ndarray], np.ndarray],
     psi: np.ndarray,
-    span: tuple[float, float],
+    times: np.ndarray,
     knots: np.ndarray,
     local_tol: float,
     max_step: float,
     min_step: float,
-    dt_hint: float,
     counts: Counter,
-) -> tuple[np.ndarray, float]:
-    """Adaptive evolution of psi over span = (t0, t1); returns (psi, step hint).
+) -> Iterator[np.ndarray]:
+    """Adaptive evolution of psi; yields psi at each of the sorted ``times``.
 
     ``step(t, dt, psi)`` advances psi from t to t + dt.  A trial step from
-    t ends at min(t + dt, next knot, t1), so none crosses a knot of the
-    sorted array ``knots``; a knot within KNOT_TOL of t counts as reached.
-    Its error is |coarse - fine| / 15, with fine two half steps.  An
-    accepted step that a knot or t1 cut short leaves the proposed dt at
-    least as large as before, so the controller does not restart from a
-    small step after every knot.  Adds the accepted and rejected steps to
-    ``counts``.
+    t ends at min(t + dt, next knot, next output time), so none crosses a
+    knot of the sorted array ``knots``; a knot within KNOT_TOL of t counts
+    as reached.  Its error is |coarse - fine| / 15, with fine two half
+    steps.  The step size carries over from one output time to the next,
+    and an accepted step that a knot or an output time cut short leaves
+    it at least as large as before, so the controller does not restart
+    from a small step after every knot.  Adds the accepted and rejected
+    steps to ``counts``.
     """
-    t, t1 = span
-    dt = min(dt_hint, max_step)
-    while t < t1 - KNOT_TOL:
-        k = np.searchsorted(knots, t + KNOT_TOL, side="right")
-        end = t1 if k == knots.size or knots[k] > t1 - KNOT_TOL else float(knots[k])
-        h = min(dt, end - t)
-        coarse = step(t, h, psi)
-        fine = step(t + h / 2.0, h / 2.0, step(t, h / 2.0, psi))
-        err = float(np.linalg.norm(coarse - fine)) / 15.0
-        factor = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (local_tol / err) ** 0.2))
-        if err <= local_tol:
-            counts["accepted"] += 1
-            psi = fine
-            t = end if h == end - t else t + h
-            dt = min(max(dt, h * factor) if h < dt else h * factor, max_step)
-        else:
-            counts["rejected"] += 1
-            dt = h * factor
-            if dt < min_step:
-                raise ConvergenceError(f"step size underflow at t = {t:.6f} us")
-    return psi, dt
+    yield psi
+    dt = max_step
+    for t, t1 in zip(times[:-1], times[1:]):
+        while t < t1 - KNOT_TOL:
+            k = np.searchsorted(knots, t + KNOT_TOL, side="right")
+            end = t1 if k == knots.size or knots[k] > t1 - KNOT_TOL else float(knots[k])
+            h = min(dt, end - t)
+            coarse = step(t, h, psi)
+            fine = step(t + h / 2.0, h / 2.0, step(t, h / 2.0, psi))
+            err = float(np.linalg.norm(coarse - fine)) / 15.0
+            factor = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * (local_tol / err) ** 0.2))
+            if err <= local_tol:
+                counts["accepted"] += 1
+                psi = fine
+                t = end if h == end - t else t + h
+                dt = min(max(dt, h * factor) if h < dt else h * factor, max_step)
+            else:
+                counts["rejected"] += 1
+                dt = h * factor
+                if dt < min_step:
+                    raise ConvergenceError(f"step size underflow at t = {t:.6f} us")
+        yield psi
 
 
 def _ground_projection(
@@ -242,28 +245,26 @@ def evolve(
     counts: Counter = Counter()
     matvecs = h.matvecs
 
+    def at(t: float) -> tuple[float, float]:
+        return float(sched.omega(t)), float(sched.delta(t))
+
     def run(n_output: int, local_tol: float, max_step: float):
         exp_tol = local_tol / 10.0
 
-        def step(t: float, dt: float, psi: np.ndarray) -> np.ndarray:
-            return _cf4_step(h, sched, t, dt, psi, exp_tol, counts)
+        def expm(omega: float, delta: float, tau: float, psi: np.ndarray) -> np.ndarray:
+            counts["exponentials"] += 1
+            return expm_lanczos(partial(h.matvec, omega, delta), psi, tau, KRYLOV_DIM, exp_tol)
 
         times = np.linspace(0.0, t_end, n_output)
         psi = np.zeros(h.dim, dtype=complex)
         psi[pos0] = 1.0
         p_e0 = np.empty(times.size)
         p_mis = np.empty(times.size)
-        dt_hint = max_step
         ground = None  # ground vector at the previous output time
-        for i, t_out in enumerate(times):
-            if i > 0:
-                psi, dt_hint = _step_doubling(
-                    step, psi, (times[i - 1], t_out), knots, local_tol,
-                    max_step, MIN_STEP, dt_hint, counts,
-                )
-            p_e0[i], ground = _ground_projection(
-                h, float(sched.omega(t_out)), float(sched.delta(t_out)), psi, ground
-            )
+        states = _step_doubling(partial(_cf4_step, at, expm), psi, times, knots, local_tol,
+                                max_step, MIN_STEP, counts)
+        for i, psi in enumerate(states):
+            p_e0[i], ground = _ground_projection(h, *at(times[i]), psi, ground)
             p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
         return times, psi, p_e0, p_mis
 
@@ -343,43 +344,23 @@ def evolve_two_level(m: TwoLevelModel) -> tuple[np.ndarray, np.ndarray]:
     (times, p_e1) at TWO_LEVEL_N_OUTPUT evenly spaced times.
     """
 
-    def exp_apply(a: float, b: float, tau: float, c: np.ndarray) -> np.ndarray:
-        # exp(-i tau (a s_y + b s_z)) c
-        r = np.hypot(a, b)
+    def at(t: float) -> tuple[float, float]:
+        return float(m.coupling_at(t)), float(m.gap_at(t))
+
+    def expm(k: float, gap: float, tau: float, c: np.ndarray) -> np.ndarray:
+        # exp(-i tau (k s_y + b s_z)) c with b = -gap/2
+        b = -gap / 2.0
+        r = np.hypot(k, b)
         if r == 0.0:
             return c.copy()
-        th = tau * r
-        cos, sin = np.cos(th), np.sin(th)
-        u, w = a / r, b / r
-        return np.array(
-            [
-                (cos - 1j * sin * w) * c[0] - sin * u * c[1],
-                sin * u * c[0] + (cos + 1j * sin * w) * c[1],
-            ]
-        )
-
-    def step(t: float, dt: float, c: np.ndarray) -> np.ndarray:
-        t1 = t + _GL_NODES[0] * dt
-        t2 = t + _GL_NODES[1] * dt
-        k1, k2 = float(m.coupling_at(t1)), float(m.coupling_at(t2))
-        g1, g2 = float(m.gap_at(t1)), float(m.gap_at(t2))
-        for w1, w2 in ((_CF4_W1, _CF4_W2), (_CF4_W2, _CF4_W1)):
-            a = w1 * k1 + w2 * k2
-            b = -0.5 * (w1 * g1 + w2 * g2)
-            c = exp_apply(a, b, dt, c)
-        return c
+        cos, sin = np.cos(tau * r), np.sin(tau * r)
+        u, w = k / r, b / r
+        return np.array([(cos - 1j * sin * w) * c[0] - sin * u * c[1],
+                         sin * u * c[0] + (cos + 1j * sin * w) * c[1]])
 
     knots = np.asarray(m.times, dtype=float)
     times = np.linspace(knots[0], knots[-1], TWO_LEVEL_N_OUTPUT)
-    c = np.array([1.0 + 0.0j, 0.0j])
-    p_e1 = np.empty(times.size)
-    p_e1[0] = 0.0
-    dt = TWO_LEVEL_MAX_STEP
-    counts: Counter = Counter()
-    for i in range(1, times.size):
-        c, dt = _step_doubling(
-            step, c, (times[i - 1], times[i]), knots, TWO_LEVEL_TOL, TWO_LEVEL_MAX_STEP,
-            TWO_LEVEL_MIN_STEP, dt, counts,
-        )
-        p_e1[i] = float(abs(c[1]) ** 2)
-    return times, p_e1
+    states = _step_doubling(partial(_cf4_step, at, expm), np.array([1.0 + 0.0j, 0.0j]), times,
+                            knots, TWO_LEVEL_TOL, TWO_LEVEL_MAX_STEP, TWO_LEVEL_MIN_STEP,
+                            Counter())
+    return times, np.array([abs(c[1]) ** 2 for c in states])

@@ -122,16 +122,6 @@ class AtomArray:
     def n(self) -> int:
         return len(self.positions)
 
-    def min_spacing(self) -> float:
-        """Smallest pairwise distance; the nearest-neighbor spacing a."""
-        if self.n < 2:
-            raise ValueError("need at least two atoms")
-        return min(
-            _dist(self.positions[i], self.positions[j])
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
-
     def to_json(self) -> dict:
         return {"name": self.name, "positions_um": [list(p) for p in self.positions]}
 
@@ -158,9 +148,9 @@ class BlockadeGraph:
     single interaction energy of the constant-U model, with the
     nearest-neighbor spacing a estimated as the median edge length
     (printed coordinate tables carry 0.01 um rounding, which a bare
-    minimum-distance rule would amplify sixfold into U).  The source
-    positions and C6 are kept so Hamiltonians can also be built with the
-    full 1/r^6 pair interactions.
+    minimum-distance rule would amplify sixfold into U); it is 0 for an
+    edgeless graph.  The source positions and C6 are kept so Hamiltonians
+    can also be built with the full 1/r^6 pair interactions.
     """
 
     n: int
@@ -316,15 +306,12 @@ def blockade_graph(
         for j in range(i + 1, arr.n)
         if _dist(arr.positions[i], arr.positions[j]) <= r_b
     )
+    u = 0.0
     if edges:
         spacing = statistics.median(
             _dist(arr.positions[i], arr.positions[j]) for i, j in edges
         )
-    elif arr.n >= 2:
-        spacing = arr.min_spacing()
-    else:
-        spacing = 0.0
-    u = p.c6 / spacing**6 if spacing > 0 else 0.0
+        u = p.c6 / spacing**6
     if require_mis_encoding and arr.n >= 2:
         if not edges:
             raise ValueError(

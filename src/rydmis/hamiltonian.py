@@ -97,9 +97,9 @@ class HamiltonianTerms:
 
     graph: BlockadeGraph
     basis: BasisSet
-    sx: csr_matrix = field(repr=False, default=None)
-    zdiag: np.ndarray = field(repr=False, default=None)
-    udiag: np.ndarray = field(repr=False, default=None)
+    sx: csr_matrix = field(repr=False)
+    zdiag: np.ndarray = field(repr=False)
+    udiag: np.ndarray = field(repr=False)
     matvecs: int = field(default=0, init=False)
 
     @property
@@ -176,9 +176,7 @@ def hamiltonian_terms(
         occ = occupancy(states[lo : lo + UDIAG_CHUNK], n).astype(float)
         udiag[lo : lo + UDIAG_CHUNK] = np.einsum("si,si->s", occ @ energies, occ)
 
-    return HamiltonianTerms(
-        graph=g, basis=basis, sx=sx, zdiag=zdiag, udiag=udiag
-    )
+    return HamiltonianTerms(graph=g, basis=basis, sx=sx, zdiag=zdiag, udiag=udiag)
 
 
 @dataclass(frozen=True, eq=False)

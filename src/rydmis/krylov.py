@@ -1,17 +1,18 @@
 """One Lanczos kernel: Gram-Schmidt extension of a row-major Krylov basis.
 
-``_orthogonalize`` is the one Gram-Schmidt step, and every Krylov basis
-grows through it.  This module holds both solvers that build such a
-basis, and no other module allocates one.  They see the operator A only
-through a matvec callable and never as a matrix:
+``_orthogonalize`` is the one Gram-Schmidt step: every Krylov basis grows
+by w = A basis[j], then that step against basis[:j+1].  This module
+holds both solvers that build such a basis, and no other module
+allocates one.  They see the operator A only through a matvec callable
+and never as a matrix:
 
 - ``lowest_eigenpairs``, thick-restart Lanczos (Wu & Simon, SIAM J.
   Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a Hermitian
   operator; ``spectrum.eigenpairs_lowest2`` passes it the ``@`` of a
   ``hamiltonian.assemble`` operator, which is ``HamiltonianTerms.matvec``;
 - ``expm_lanczos``, the Krylov exponential exp(-i tau A) v (Saad, SIAM
-  J. Numer. Anal. 29, 1992), through ``_extend``; ``dynamics`` runs it
-  on the same ``HamiltonianTerms.matvec`` for every CF4 exponential.
+  J. Numer. Anal. 29, 1992); ``dynamics`` runs it on the same
+  ``HamiltonianTerms.matvec`` for every exponential of its CF4 step.
 
 The basis is stored row by row (``basis[j]`` is the j-th vector).  A
 step first projects out the last two rows, which hold the large
@@ -71,20 +72,6 @@ def _orthogonalize(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, boo
         after = np.vdot(w, w).real
     c[-2:] += local
     return c, float(np.sqrt(after)), repeated
-
-
-def _extend(
-    matvec: Callable[[np.ndarray], np.ndarray], basis: np.ndarray, j: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One Lanczos step: A basis[j] orthogonalized against basis[:j+1].
-
-    Returns (c, w, beta): the projections c = basis[:j+1]^H A basis[j]
-    (c[j] is the Rayleigh quotient alpha_j), the remainder w and its
-    norm beta.  The caller stores w / beta as basis[j+1].
-    """
-    w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
-    c, beta, _ = _orthogonalize(basis[: j + 1], w)
-    return c, w, beta
 
 
 def _start_vector(dim: int, v0: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
@@ -193,8 +180,9 @@ def lowest_eigenpairs(
 def expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> np.ndarray:
     """exp(-i tau A) v for Hermitian A via a Lanczos Krylov subspace.
 
-    The basis grows by ``_extend`` (in a buffer of 8 rows, doubled when
-    full) until the residual estimate drops below tol.  Falls back to two
+    The basis grows by the same matvec and ``_orthogonalize`` step as in
+    ``lowest_eigenpairs`` (in a buffer of 8 rows, doubled when full)
+    until the residual estimate drops below tol.  Falls back to two
     half-interval applications if m_max vectors are reached first.
     """
     beta0 = np.linalg.norm(v)
@@ -205,7 +193,8 @@ def expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> n
     alphas = np.empty(m_max)
     betas = np.empty(m_max)
     for j in range(m_max):
-        c, w, beta = _extend(matvec, basis, j)
+        w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
+        c, beta, _ = _orthogonalize(basis[: j + 1], w)
         alphas[j] = c[j].real
         y = _expm_tridiag(alphas[: j + 1], betas[:j], tau)
         if beta < 1e-14 or beta * abs(y[-1]) * min(abs(tau), 1.0) < tol:

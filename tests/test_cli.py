@@ -267,6 +267,20 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("config, flags, field", [
+    ({}, ["--shots", "0"], "shots"),
+    ({"n_output": 1}, [], "n_output"),
+], ids=["shots_flag", "n_output_config"])
+def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, flags, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"instance": "Q1D_4", **config}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
 SUBCOMMANDS = ("isets", "gap", "design", "evolve", "twolevel", "sample", "pipeline",
                "reproduce", "export-ahs")
 

@@ -113,6 +113,26 @@ def test_no_trial_step_straddles_a_knot(params, monkeypatch):
     assert not inside.any(), f"{inside.any(axis=1).sum()} of {t.size} trial steps straddle a knot"
 
 
+def test_no_two_level_trial_step_straddles_a_knot(monkeypatch):
+    rng = np.random.default_rng(5)
+    knots = np.sort(np.concatenate(([0.0, 2.0], rng.uniform(0.0, 2.0, 60))))
+    m = TwoLevelModel(knots, coupling=rng.uniform(0.5, 2.0, knots.size),
+                      gap=rng.uniform(3.0, 6.0, knots.size))
+    steps = []
+    cf4_step = rydmis.dynamics._cf4_step
+
+    def spy(*args):
+        steps.append(args[2:4])  # (t, dt)
+        return cf4_step(*args)
+
+    monkeypatch.setattr(rydmis.dynamics, "_cf4_step", spy)
+    evolve_two_level(m)
+    t, dt = np.array(steps).T
+    assert t.size > 1000
+    inside = (knots > t[:, None] + 1e-12) & (knots < (t + dt)[:, None] - 1e-12)
+    assert not inside.any(), f"{inside.any(axis=1).sum()} of {t.size} trial steps straddle a knot"
+
+
 def test_two_level_stepping_matches_rabi_formula():
     k, gap = 1.3, 4.1
     times = np.linspace(0.0, 2.0, 9)
@@ -122,6 +142,15 @@ def test_two_level_stepping_matches_rabi_formula():
     expected = (k / rabi) ** 2 * np.sin(t * rabi) ** 2
     assert t.size == 400 and t[0] == 0.0 and t[-1] == 2.0
     np.testing.assert_allclose(p_e1, expected, rtol=0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("local_tol", -1e-9), ("local_tol", 0.0), ("local_tol", np.nan), ("local_tol", np.inf),
+    ("convergence_tol", -1e-6), ("convergence_tol", 0.0), ("convergence_tol", np.nan),
+])
+def test_evolve_options_reject_unusable_tolerances(field, value):
+    with pytest.raises(ValueError, match=field):
+        EvolveOptions(**{field: value})
 
 
 def test_evolve_logs_its_cost(params, caplog, monkeypatch):

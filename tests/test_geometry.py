@@ -127,6 +127,7 @@ def test_distant_pair_has_no_edges(params):
     arr = AtomArray(name="pair", positions=((0.0, 0.0), (20.0, 0.0)))
     g = blockade_graph(arr, params)
     assert not g.edges
+    assert g.u_per_edge == 0.0  # as for a single atom: no edge reads it
     with pytest.raises(ValueError, match="no edges"):
         blockade_graph(arr, params, require_mis_encoding=True)
 

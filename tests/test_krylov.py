@@ -36,7 +36,7 @@ def test_cancelling_pass_is_repeated():
     assert np.abs(c - q.conj() @ w0).max() <= 1e-12
 
 
-def test_extend_copies_no_basis_block():
+def test_orthogonalize_copies_no_basis_block():
     dim = 1 << 16
     rng = np.random.default_rng(4)
     basis = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
@@ -44,7 +44,7 @@ def test_extend_copies_no_basis_block():
     scale = rng.standard_normal(dim)
     tracemalloc.start()
     try:
-        krylov._extend(lambda x: scale * x, basis, 15)
+        krylov._orthogonalize(basis, scale * basis[15])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
