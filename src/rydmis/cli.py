@@ -7,7 +7,7 @@ flags are generated from the fields it takes.  ``Run`` builds each stage
 once, on first use, so a ``pipeline`` over a ``j_grid`` scans the gap
 once (``gap.csv``) and its ``--jobs`` workers receive the scanned Run.
 
-Exit codes: 0 success, 2 reproduction-target failure, 1 error.
+Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
 """
 
 from __future__ import annotations
@@ -274,17 +274,18 @@ def cmd_sample(run: Run, args) -> int:
     state = QuantumState.from_json(json.loads(Path(args.state).read_text()))
     spam = SpamModel() if cfg.spam else None
     graph = blockade_graph(load_instance(cfg.instance), run.params) if cfg.instance else None
-    hist = sample_shots(state, cfg.shots, spam=spam, seed=cfg.seed, graph=graph)
+    hist = sample_shots(state, cfg.shots, spam=spam, seed=cfg.seed)
+    report = {} if graph is None else histogram_report(hist, graph)
     payload = {
         "n_shots": hist.n_shots,
         "seed": hist.seed,
         "spam": None if spam is None else asdict(spam),
         "counts": hist.counts,
-        "p_mis": hist.p_mis,
-        "p_mis_minus_1": hist.p_mis_minus_1,
+        "p_mis": report.get("p_mis"),
+        "p_mis_minus_1": report.get("p_mis_minus_1"),
     }
-    if graph is not None:
-        payload["report"] = histogram_report(hist, graph)
+    if report:
+        payload["report"] = report
     _write_json(args.out, payload)
     print(f"{cfg.shots} shots -> {args.out}")
     return 0
@@ -307,38 +308,40 @@ def _sha256(path: Path) -> str:
 
 
 def _pipeline_run(job: tuple) -> dict:
-    """Schedule, evolution, final state and shots for one exponent j."""
-    run, out_dir, tag, j = job
+    """Evolution, final state and shots for one exponent j and its schedule."""
+    run, out_dir, tag, j, sched = job
     cfg = run.cfg
     artifacts = {"gap_csv": "gap.csv"} if cfg.method == "adglb" else {}
     artifacts.update(schedule_json=f"schedule{tag}.json", evolution_csv=f"evolution{tag}.csv",
                      state_json=f"state{tag}.json", histogram_json=f"histogram{tag}.json")
-    sched = run.schedule(j)
     sched.save(out_dir / artifacts["schedule_json"])
     res = run.evolve(sched)
     _write_csv(out_dir / artifacts["evolution_csv"], _evolution_columns(res))
     _write_json(out_dir / artifacts["state_json"], res.final_state.to_json(), indent=None)
     spam = SpamModel() if cfg.spam else None
-    hist = sample_shots(res.final_state, cfg.shots, spam=spam, seed=cfg.seed, graph=run.graph)
-    _write_json(out_dir / artifacts["histogram_json"], histogram_report(hist, run.graph))
+    hist = sample_shots(res.final_state, cfg.shots, spam=spam, seed=cfg.seed)
+    report = histogram_report(hist, run.graph)
+    _write_json(out_dir / artifacts["histogram_json"], report)
     return {
         "tag": tag or "run",
         "j": j,
         "final_p_e0": res.final_p_e0,
         "final_p_mis": res.final_p_mis,
-        "p_mis_sampled": hist.p_mis,
+        "p_mis_sampled": report["p_mis"],
         "artifacts": artifacts,
     }
 
 
 def cmd_pipeline(run: Run, args) -> int:
     cfg, out_dir = run.cfg, Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # graph, schedules and terms reject a bad setting before anything is written
     stats = count_isets(run.graph)
+    js = cfg.j_grid if (cfg.method == "adglb" and cfg.j_grid) else [cfg.j]
+    jobs = [(run, out_dir, f"_j{j:g}" if len(js) > 1 else "", j, run.schedule(j)) for j in js]
+    run.terms
+    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.method == "adglb":
         _write_csv(out_dir / "gap.csv", _gap_columns(run.profile))
-    js = cfg.j_grid if (cfg.method == "adglb" and cfg.j_grid) else [cfg.j]
-    jobs = [(run, out_dir, f"_j{j:g}" if len(js) > 1 else "", j) for j in js]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             runs = list(pool.map(_pipeline_run, jobs))
@@ -547,9 +550,15 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2, which main reserves for a missed reproduction target
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rydmis",
-                                     description="Blockade-graph MIS preparation toolkit")
+    parser = _Parser(prog="rydmis", description="Blockade-graph MIS preparation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     base = RunConfig()
     for name, (func, helptext, flags) in SUBCOMMANDS.items():

@@ -19,9 +19,9 @@ knot of the drive.
 
 In the full evolution the pair is (omega, delta), and an exponential is
 ``krylov.expm_lanczos`` on ``HamiltonianTerms.matvec``: the Krylov basis
-lives in ``krylov`` and grows by the same Gram-Schmidt step as the
-eigensolver's.  In the two-level reduction the pair is (K, gap), and an
-exponential is the closed-form 2x2 rotation.
+and its cap KRYLOV_DIM live in ``krylov``, and it grows by the same
+Gram-Schmidt step as the eigensolver's.  In the two-level reduction the
+pair is (K, gap), and an exponential is the closed-form 2x2 rotation.
 
 The ground population at each output time comes from
 ``spectrum.eigenpairs_lowest2`` on the operator of
@@ -62,7 +62,6 @@ _CF4_W2 = (3.0 - 2.0 * _SQRT3) / 12.0
 KNOT_TOL = 1e-12  # us: a knot this close ahead of t counts as reached
 MAX_STEP = 0.05  # us, evolve's step cap (halved by the convergence check)
 MIN_STEP = 1e-9  # us: a rejected step below this raises ConvergenceError
-KRYLOV_DIM = 48  # Krylov vectors before an exponential splits its interval
 DEGENERACY_TOL = 1e-6  # rad/us: diagonal entries this close form the ground space
 TWO_LEVEL_TOL = 1e-8  # evolve_two_level's local error tolerance
 TWO_LEVEL_MAX_STEP = 0.01  # us
@@ -253,7 +252,7 @@ def evolve(
 
         def expm(omega: float, delta: float, tau: float, psi: np.ndarray) -> np.ndarray:
             counts["exponentials"] += 1
-            return expm_lanczos(partial(h.matvec, omega, delta), psi, tau, KRYLOV_DIM, exp_tol)
+            return expm_lanczos(partial(h.matvec, omega, delta), psi, tau, exp_tol)
 
         times = np.linspace(0.0, t_end, n_output)
         psi = np.zeros(h.dim, dtype=complex)

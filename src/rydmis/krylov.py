@@ -7,12 +7,12 @@ allocates one.  They see the operator A only through a matvec callable
 and never as a matrix:
 
 - ``lowest_eigenpairs``, thick-restart Lanczos (Wu & Simon, SIAM J.
-  Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a Hermitian
-  operator; ``spectrum.eigenpairs_lowest2`` passes it the ``@`` of a
-  ``hamiltonian.assemble`` operator, which is ``HamiltonianTerms.matvec``;
+  Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a real
+  symmetric operator; ``spectrum.eigenpairs_lowest2`` passes it the ``@``
+  of a ``hamiltonian.assemble`` operator, ``HamiltonianTerms.matvec``;
 - ``expm_lanczos``, the Krylov exponential exp(-i tau A) v (Saad, SIAM
-  J. Numer. Anal. 29, 1992); ``dynamics`` runs it on the same
-  ``HamiltonianTerms.matvec`` for every exponential of its CF4 step.
+  J. Numer. Anal. 29, 1992) in at most KRYLOV_DIM vectors; ``dynamics``
+  runs it on the same ``HamiltonianTerms.matvec`` for its CF4 step.
 
 The basis is stored row by row (``basis[j]`` is the j-th vector).  A
 step first projects out the last two rows, which hold the large
@@ -45,6 +45,7 @@ BREAKDOWN = 1e-12  # ||w|| / ||A v|| below which the Krylov space is invariant
 ROTATE_CHUNK = 8192  # columns rotated at a time when restarting
 DGKS_RATIO = 1 / np.sqrt(2)  # norm kept by a full pass below which it is repeated
 MAX_MATVECS = 20000  # lowest_eigenpairs raises ConvergenceError beyond this many matvecs
+KRYLOV_DIM = 48  # Krylov vectors before expm_lanczos splits its interval
 
 
 def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -100,14 +101,9 @@ def _rotate(basis: np.ndarray, y: np.ndarray) -> None:
         basis[:k, cols] = y.T @ basis[:n, cols]
 
 
-def lowest_eigenpairs(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    dtype,
-    n_eig: int,
-    v0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The n_eig lowest eigenpairs of the Hermitian operator ``matvec``.
+def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_eig: int,
+                      v0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The n_eig lowest eigenpairs of the real symmetric operator ``matvec``.
 
     Thick-restart Lanczos: each cycle grows the basis to MAX_BASIS
     vectors, then keeps the KEEP lowest Ritz vectors and the residual
@@ -119,13 +115,14 @@ def lowest_eigenpairs(
     space turns invariant before the basis spans the whole space, the
     next vector is a random one orthogonal to the basis.
 
-    Returns (values, vectors) with the vectors as rows.  Raises
-    ConvergenceError when MAX_MATVECS matvecs leave a pair unconverged.
+    The basis is float64 and v0 real.  Returns (values, vectors) with the
+    vectors as rows.  Raises ConvergenceError when MAX_MATVECS matvecs
+    leave a pair unconverged.
     """
     rng = np.random.default_rng(START_SEED)
     start = _start_vector(dim, v0, rng)
     m = min(MAX_BASIS, dim)
-    basis = np.empty((m + 1, dim), dtype=np.result_type(dtype, start.dtype))
+    basis = np.empty((m + 1, dim))
     basis[0] = start / np.linalg.norm(start)
     proj = np.zeros((m, m))  # real: alphas, betas and arrow couplings are real
     k = matvecs = restarts = repeats = 0
@@ -143,7 +140,7 @@ def lowest_eigenpairs(
                 beta = 0.0
                 if j + 1 == dim:
                     break
-                w = rng.standard_normal(dim).astype(basis.dtype)
+                w = rng.standard_normal(dim)
                 _, norm, repeated = _orthogonalize(basis[: j + 1], w)
                 repeats += repeated
                 w /= norm
@@ -177,35 +174,35 @@ def lowest_eigenpairs(
     return theta[:n_eig], y[:, :n_eig].T @ basis[:n]
 
 
-def expm_lanczos(matvec, v: np.ndarray, tau: float, m_max: int, tol: float) -> np.ndarray:
+def expm_lanczos(matvec, v: np.ndarray, tau: float, tol: float) -> np.ndarray:
     """exp(-i tau A) v for Hermitian A via a Lanczos Krylov subspace.
 
     The basis grows by the same matvec and ``_orthogonalize`` step as in
     ``lowest_eigenpairs`` (in a buffer of 8 rows, doubled when full)
     until the residual estimate drops below tol.  Falls back to two
-    half-interval applications if m_max vectors are reached first.
+    half-interval applications if KRYLOV_DIM vectors are reached first.
     """
     beta0 = np.linalg.norm(v)
     if beta0 == 0.0:
         return v.copy()
-    basis = np.empty((min(8, m_max), v.size), dtype=complex)
+    basis = np.empty((8, v.size), dtype=complex)
     basis[0] = v / beta0
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)
-    for j in range(m_max):
+    alphas = np.empty(KRYLOV_DIM)
+    betas = np.empty(KRYLOV_DIM)
+    for j in range(KRYLOV_DIM):
         w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
         c, beta, _ = _orthogonalize(basis[: j + 1], w)
         alphas[j] = c[j].real
         y = _expm_tridiag(alphas[: j + 1], betas[:j], tau)
         if beta < 1e-14 or beta * abs(y[-1]) * min(abs(tau), 1.0) < tol:
             return beta0 * (y @ basis[: j + 1])
-        if j + 1 < m_max:
+        if j + 1 < KRYLOV_DIM:
             betas[j] = beta
             if j + 1 == len(basis):
-                basis = np.concatenate((basis, np.empty_like(basis[: m_max - j - 1])))
+                basis = np.concatenate((basis, np.empty_like(basis[: KRYLOV_DIM - j - 1])))
             basis[j + 1] = w / beta
-    half = expm_lanczos(matvec, v, tau / 2.0, m_max, tol / 2.0)
-    return expm_lanczos(matvec, half, tau / 2.0, m_max, tol / 2.0)
+    half = expm_lanczos(matvec, v, tau / 2.0, tol / 2.0)
+    return expm_lanczos(matvec, half, tau / 2.0, tol / 2.0)
 
 
 def _expm_tridiag(alphas: np.ndarray, betas: np.ndarray, tau: float) -> np.ndarray:

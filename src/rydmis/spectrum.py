@@ -57,22 +57,11 @@ class GapProfile:
     vecs1: np.ndarray | None = field(repr=False, default=None)
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Largest-magnitude component made real-positive."""
-    k = int(np.argmax(np.abs(vec)))
-    pivot = vec[k]
-    if pivot == 0:
-        return vec
-    if np.iscomplexobj(vec):
-        return vec * (np.conj(pivot) / abs(pivot))
-    return vec if pivot > 0 else -vec
-
-
 def eigenpairs_lowest2(
     H: "HamiltonianOperator",
     v0: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Two smallest eigenvalues of H with orthonormal, phase-fixed vectors.
+    """Two smallest eigenvalues of H with orthonormal, sign-fixed vectors.
 
     H is an operator of ``hamiltonian.assemble``.  At omega = 0 its
     diagonal is sorted exactly (stable sort, unit vectors), so a repeated
@@ -99,8 +88,10 @@ def eigenpairs_lowest2(
         vecs[[0, 1], order] = 1.0
         vals = diag[order]
     else:
-        vals, vecs = lowest_eigenpairs(H.__matmul__, dim, float, 2, v0=v0)
-    return float(vals[0]), float(vals[1]), _fix_phase(vecs[0]), _fix_phase(vecs[1])
+        vals, vecs = lowest_eigenpairs(H.__matmul__, dim, 2, v0=v0)
+    # each vector's largest-magnitude component made positive
+    vecs *= np.sign(vecs[[0, 1], np.argmax(np.abs(vecs), axis=1)])[:, None]
+    return float(vals[0]), float(vals[1]), vecs[0], vecs[1]
 
 
 def scan_gap(

@@ -113,3 +113,15 @@ def oracle_interaction_diagonal(positions, c6, configs):
             both = (configs >> (n - 1 - i)) & (configs >> (n - 1 - j)) & 1
             out += c6 / math.dist(positions[i], positions[j]) ** 6 * both
     return out
+
+
+def oracle_flip_pattern(configs, n):
+    """Row-major CSR pattern (indptr, indices) of the single-atom flips
+    that stay inside the basis: row s lists, ascending, the positions of
+    configs[s] with one bit flipped."""
+    position = {c: i for i, c in enumerate(configs)}
+    indptr, indices = [0], []
+    for c in configs:
+        indices.extend(sorted(position[c ^ 1 << b] for b in range(n) if c ^ 1 << b in position))
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices)

@@ -270,7 +270,14 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
 @pytest.mark.parametrize("config, flags, field", [
     ({}, ["--shots", "0"], "shots"),
     ({"n_output": 1}, [], "n_output"),
-], ids=["shots_flag", "n_output_config"])
+    ({}, ["--j", "-1"], "j > 0"),
+    ({}, ["--samples", "5"], "n_samples"),
+    ({}, ["--method", "transfer", "--nu-d-mhz", "5"], "waypoint"),
+    ({}, ["--instance", "NOPE"], "NOPE"),
+    ({"basis": "bogus"}, [], "basis"),
+    ({"basis": "bogus"}, ["--method", "std"], "basis"),
+], ids=["shots_flag", "n_output_config", "negative_j", "few_samples", "transfer_nu_d",
+        "unknown_instance", "basis_config", "basis_config_std"])
 def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, flags, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"instance": "Q1D_4", **config}))
@@ -279,6 +286,17 @@ def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, fl
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not out.exists()
+
+
+def test_pipeline_classifies_each_histogram_once(tmp_path, monkeypatch):
+    calls = []
+    enumerate_all = rydmis.isets.independent_configs
+    monkeypatch.setattr(rydmis.isets, "independent_configs",
+                        lambda g: calls.append(g) or enumerate_all(g))
+    assert main(["pipeline", "--instance", "Q1D_4", "--method", "std", "--shots", "50",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    # the manifest's census, evolve's MIS positions and the histogram report
+    assert len(calls) == 3
 
 
 SUBCOMMANDS = ("isets", "gap", "design", "evolve", "twolevel", "sample", "pipeline",
@@ -292,3 +310,18 @@ def test_subcommand_help_exits_0(command):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"usage: rydmis {command}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--instance", "Q1D_4", "--basis", "bogus", "--out", "x.csv"],
+    ["gap", "--out", "x.csv"],
+    ["gap", "--instance", "Q1D_4", "--out", "x.csv", "--bogus"],
+], ids=["bad_choice", "missing_required", "unknown_flag"])
+def test_usage_error_exits_1(tmp_path, argv):
+    # exit 2 is kept for a missed reproduction target
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "rydmis.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: rydmis") and "error:" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()

@@ -15,7 +15,7 @@ def test_restarted_basis_stays_orthonormal(params, q1d10):
         bases.append(x.base)  # x is a row of the solver's basis
         return matrix @ x
 
-    krylov.lowest_eigenpairs(matvec, h.dim, float, 2)
+    krylov.lowest_eigenpairs(matvec, h.dim, 2)
     assert len(bases) > krylov.MAX_BASIS  # at least one thick restart
     q = bases[-1]
     assert q.shape == (krylov.MAX_BASIS + 1, h.dim)
@@ -58,10 +58,10 @@ def test_krylov_exponential_allocates_only_the_basis_it_uses():
     v = rng.standard_normal(dim) + 0j
     tracemalloc.start()
     try:
-        out = krylov.expm_lanczos(lambda x: diag * x, v, 0.02, 48, 1e-10)
+        out = krylov.expm_lanczos(lambda x: diag * x, v, 0.02, 1e-10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     np.testing.assert_allclose(out, np.exp(-0.02j * diag) * v, rtol=0.0, atol=1e-9)
-    # six Krylov vectors suffice; a basis of krylov_dim = 48 rows alone is 50 MB
-    assert peak < 48 * dim * 16 / 2
+    # six Krylov vectors suffice; a basis of KRYLOV_DIM = 48 rows alone is 50 MB
+    assert peak < krylov.KRYLOV_DIM * dim * 16 / 2

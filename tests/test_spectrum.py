@@ -111,7 +111,7 @@ def test_phase_convention(params, q1d10_profile):
 def test_iterative_path_large_diagonal():
     rng = np.random.default_rng(5)
     d = rng.permutation(np.arange(5000, dtype=float))
-    (e0, e1), (v0, v1) = krylov.lowest_eigenpairs(lambda x: d * x, d.size, float, 2)
+    (e0, e1), (v0, v1) = krylov.lowest_eigenpairs(lambda x: d * x, d.size, 2)
     assert (e0, e1) == pytest.approx((0.0, 1.0), abs=1e-6)
     assert int(np.argmax(np.abs(v0))) == int(np.argmin(d))
 
@@ -123,7 +123,7 @@ def test_iterative_path_zero_eigenvalue_in_coupled_block():
     rest = diags(rng.permutation(np.arange(3.0, 5001.0)))
     m = block_diag([np.ones((2, 2)), rest], format="csr")
     before = (m.data.copy(), m.indices.copy(), m.indptr.copy())
-    (e0, e1), (v0, v1) = krylov.lowest_eigenpairs(lambda x: m @ x, m.shape[0], float, 2)
+    (e0, e1), (v0, v1) = krylov.lowest_eigenpairs(lambda x: m @ x, m.shape[0], 2)
     assert (e0, e1) == pytest.approx((0.0, 2.0), abs=1e-6)
     assert np.allclose(np.abs(v0[:2]), np.sqrt(0.5)) and v0[0] * v0[1] < 0
     assert np.allclose(np.abs(v1[:2]), np.sqrt(0.5)) and v1[0] * v1[1] > 0
@@ -158,7 +158,7 @@ def test_warm_start_inside_an_invariant_block_still_finds_e1():
     vals, vecs = np.linalg.eigh(first)
     v0 = np.zeros(m.shape[0])
     v0[:2] = vecs[:, 0]
-    (e0, e1), (w0, w1) = krylov.lowest_eigenpairs(lambda x: m @ x, m.shape[0], float, 2, v0=v0)
+    (e0, e1), (w0, w1) = krylov.lowest_eigenpairs(lambda x: m @ x, m.shape[0], 2, v0=v0)
     assert (e0, e1) == pytest.approx((vals[0], 1.0), abs=1e-9)
     assert abs(w1[2]) == pytest.approx(1.0, abs=1e-9)
     assert abs(w0 @ w1) < 1e-10
