@@ -24,14 +24,14 @@ Gram-Schmidt step as the eigensolver's.  In the two-level reduction the
 pair is (K, gap), and an exponential is the closed-form 2x2 rotation.
 
 The ground population at each output time comes from
-``spectrum.eigenpairs_lowest2`` on the operator of
-``hamiltonian.assemble``, warm-started from the ground vector of the
-previous output time, and the MIS overlap sums the populations of the
-census's ``mis_configs``.  A run is reported only after halving the step
-cap reproduces the final ground-state population to the convergence
-tolerance; its cost (steps, Krylov exponentials, and the matvecs of the
-stepping and the projections, read from the terms' counter) and that
-check's delta go to one DEBUG line of this module's logger.
+``spectrum.eigenpairs_lowest2`` on the operator of ``hamiltonian.assemble``,
+warm-started from w0 + w1 of the previous output time's solve, and the
+MIS overlap sums the populations of the census's ``mis_configs``.  A run
+is reported only after halving the step cap reproduces the final
+ground-state population to the convergence tolerance; its cost (steps,
+Krylov exponentials, and the matvecs of the stepping and the projections,
+read from the terms' counter) and that check's delta go to one DEBUG line
+of this module's logger.
 
 The two-level reduction needs <E1| dH/dt |E0>, and dH/dt is
 omega' sx + delta' zdiag, read off the same cached terms.
@@ -208,15 +208,15 @@ def _ground_projection(
 ) -> tuple[float, np.ndarray | None]:
     """Population on the (possibly degenerate) instantaneous ground space.
 
-    Also returns the ground vector (None at omega = 0, where H is
-    diagonal) for the next call to warm-start from.
+    Also returns w0 + w1, the sum of the two eigenvectors (None at
+    omega = 0, where H is diagonal), for the next call to warm-start from.
     """
     if omega == 0.0:
         diag = delta * h.zdiag + h.udiag
         ground = diag <= diag.min() + DEGENERACY_TOL
         return float(np.sum(np.abs(psi[ground]) ** 2)), None
-    _, _, v0, _ = eigenpairs_lowest2(assemble(h, omega, delta), v0=warm)
-    return float(abs(np.vdot(v0, psi)) ** 2), v0
+    _, _, v0, v1 = eigenpairs_lowest2(assemble(h, omega, delta), v0=warm)
+    return float(abs(np.vdot(v0, psi)) ** 2), v0 + v1
 
 
 def evolve(
@@ -257,13 +257,16 @@ def evolve(
         times = np.linspace(0.0, t_end, n_output)
         psi = np.zeros(h.dim, dtype=complex)
         psi[pos0] = 1.0
-        p_e0 = np.empty(times.size)
-        p_mis = np.empty(times.size)
-        ground = None  # ground vector at the previous output time
+        p_e0, p_mis = np.empty((2, times.size))
+        warm = None  # w0 + w1 at the previous output time
         states = _step_doubling(partial(_cf4_step, at, expm), psi, times, knots, local_tol,
                                 max_step, MIN_STEP, counts)
         for i, psi in enumerate(states):
-            p_e0[i], ground = _ground_projection(h, *at(times[i]), psi, ground)
+            try:
+                p_e0[i], warm = _ground_projection(h, *at(times[i]), psi, warm)
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"ground projection at t = {times[i]:.6f} us: {exc}") from exc
             p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
         return times, psi, p_e0, p_mis
 

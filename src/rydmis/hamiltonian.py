@@ -24,10 +24,12 @@ solve sums a sparse H: the matrix-free operator of Weinberg & Bukov
 times the pair-energy matrix, UDIAG_CHUNK states at a time.
 
 A basis is one strictly ascending int64 array of configurations
-(``BasisSet.states``).  One XOR and one binary search per atom fill a
-(dim, n) table of each state's single-flip partners, and sorted row by
-row its found entries are the CSR rows of ``sx`` (Sandvik, AIP Conf.
-Proc. 1297, 135, 2010).  No code here loops over basis states.
+(``BasisSet.states``) that holds each of its states with any one atom
+cleared, so per atom one XOR and one binary search find every flip pair
+from its occupied end.  The pairs fill a (dim, n) table of each state's
+single-flip partners, and sorted row by row its entries are the CSR rows
+of ``sx`` (Sandvik, AIP Conf. Proc. 1297, 135, 2010).  No code here
+loops over basis states.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ class BasisSet:
     """Configuration basis: the strictly ascending int64 array ``states``.
 
     kind "full" holds all 2^n configurations; kind "blockade" only the
-    independent sets of the graph.  A configuration's position in the
-    basis is its position in ``states``, found by binary search.
+    independent sets of the graph.  Both hold each of their states with
+    any one atom cleared, which ``hamiltonian_terms`` needs.  A
+    configuration's position in the basis is its position in ``states``,
+    found by binary search.
     """
 
     kind: str
@@ -151,19 +155,20 @@ def _pair_energies(g: BlockadeGraph, interaction: str) -> np.ndarray:
 def hamiltonian_terms(
     g: BlockadeGraph, basis: BasisSet, interaction: str = "tails"
 ) -> HamiltonianTerms:
-    n = g.n
-    states = basis.states
-    dim = states.size
+    n, states, dim = g.n, basis.states, basis.dim
 
     # partner[s, v]: position of state s with atom v flipped, -1 outside the basis
     partner = np.full((dim, n), -1, dtype=np.int32)
     for v in range(n):
         bit = atom_bit(n, v)
-        lower = np.flatnonzero((states & bit) == 0)
-        upper = basis.position_of(states[lower] ^ bit)
-        found = upper >= 0
-        partner[lower[found], v] = upper[found]
-        partner[upper[found], v] = lower[found]
+        upper = np.flatnonzero(states & bit)
+        cleared = states[upper] ^ bit
+        lower = np.searchsorted(states, cleared)  # < dim: each is below a basis state
+        if not np.array_equal(states[lower], cleared):
+            raise ValueError(f"a basis state lacks its atom-{v}-cleared partner: "
+                             "the basis must hold each state with any one atom cleared")
+        partner[lower, v] = upper
+        partner[upper, v] = lower
     partner.sort(axis=1)  # each row's partners ascend after its -1 entries: CSR order
     linked = partner >= 0
     indices = partner[linked]

@@ -4,13 +4,13 @@ Every eigensolve goes through ``eigenpairs_lowest2``, which takes the
 operator of ``hamiltonian.assemble``: at omega = 0 H is diagonal and its
 diagonal is sorted exactly; otherwise the thick-restart Lanczos of
 ``krylov.lowest_eigenpairs`` runs on ``HamiltonianTerms.matvec``.
-scan_gap samples the sweep window uniformly, warm-starting each solve
-from the previous sample's two eigenvectors, and golden-section-refines
-the gap minimum below the sample resolution, warm-starting each probe
-from the nearest sample; the refined point is inserted into the profile
-so downstream consumers (schedule synthesis, two-level reduction) see
-the true minimum.  Its cost (samples, probes, matvecs, wall time) goes
-to one DEBUG line of this module's logger.
+scan_gap samples the sweep window uniformly and golden-section-refines
+the gap minimum below the sample resolution; each solve warm-starts from
+w0 + w1 of the solve before it (the first probe, of the smallest sampled
+gap).  The refined point is inserted into the profile so downstream
+consumers (schedule synthesis, two-level reduction) see the true
+minimum.  Its cost (samples, probes, matvecs, wall time) goes to one
+DEBUG line of this module's logger.
 """
 
 from __future__ import annotations
@@ -120,51 +120,44 @@ def scan_gap(
     vecs0 = np.empty((n_samples, h.dim)) if store_vectors else None
     vecs1 = np.empty((n_samples, h.dim)) if store_vectors else None
 
-    def solve(t: float, warm: np.ndarray | None):
+    # Each solve warm-starts from w0 + w1 of the solve before it, and the
+    # first golden-section probe from that of the smallest sampled gap.
+    warm = None
+
+    def solve(t: float):
+        nonlocal warm
+        H = assemble(h, float(sched.omega(t)), float(sched.delta(t)))
         try:
-            return eigenpairs_lowest2(
-                assemble(h, float(sched.omega(t)), float(sched.delta(t))), v0=warm
-            )
+            e0, e1, w0, w1 = eigenpairs_lowest2(H, v0=warm)
         except ConvergenceError as exc:
             raise ConvergenceError(f"at t = {t:.6f} us: {exc}") from exc
+        warm = w0 + w1
+        return e0, e1, w0, w1
 
-    # Each solve warm-starts from w0 + w1 of the previous sample.  The
-    # starts of the samples on either side of the smallest gap so far are
-    # kept for the golden-section probes, which all lie between them.
-    near_min: dict[int, np.ndarray] = {}
     i_min = 0
-    warm = None
     for i, t in enumerate(times):
-        e0, e1, w0, w1 = solve(t, warm)
+        e0, e1, w0, w1 = solve(t)
         e0s[i], e1s[i] = e0, e1
         if store_vectors:
             vecs0[i], vecs1[i] = w0, w1
-        prev, warm = warm, w0 + w1
         if i == 0 or e1 - e0 < e1s[i_min] - e0s[i_min]:
-            i_min = i
-            near_min = {i: warm} if prev is None else {i - 1: prev, i: warm}
-        elif i == i_min + 1:
-            near_min[i] = warm
-    gaps = e1s - e0s
+            i_min, warm_min = i, warm
 
     # Golden-section refinement of the sampled minimum.
-    lo = times[max(i_min - 1, 0)]
-    hi = times[min(i_min + 1, n_samples - 1)]
     probes: dict[float, tuple] = {}
+    warm = warm_min
 
-    def probe(t: float):
+    def probe_gap(t: float) -> float:
         if t not in probes:
-            nearest = min(near_min, key=lambda k: abs(times[k] - t))
-            probes[t] = solve(t, near_min[nearest])
-        return probes[t]
+            probes[t] = solve(t)
+        return probes[t][1] - probes[t][0]
 
-    a, b = lo, hi
+    a = times[max(i_min - 1, 0)]
+    b = times[min(i_min + 1, n_samples - 1)]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     while (b - a) > REFINE_TOL:
-        gap_c = probe(c)[1] - probe(c)[0]
-        gap_d = probe(d)[1] - probe(d)[0]
-        if gap_c < gap_d:
+        if probe_gap(c) < probe_gap(d):
             b, d = d, c
             c = b - GOLDEN * (b - a)
         else:
@@ -172,7 +165,7 @@ def scan_gap(
             d = a + GOLDEN * (b - a)
 
     candidates = [(e1 - e0, t) for t, (e0, e1, _, _) in probes.items()]
-    candidates.append((gaps[i_min], times[i_min]))
+    candidates.append((e1s[i_min] - e0s[i_min], times[i_min]))
     g_min, t_min = min(candidates)
     logger.debug(
         "scan_gap dim %d: %d samples, %d golden-section probes, %d matvecs, %.3f s",
@@ -186,7 +179,6 @@ def scan_gap(
         times = np.insert(times, pos, t_min)
         e0s = np.insert(e0s, pos, e0)
         e1s = np.insert(e1s, pos, e1)
-        gaps = np.insert(gaps, pos, e1 - e0)
         if store_vectors:
             vecs0 = np.insert(vecs0, pos, w0, axis=0)
             vecs1 = np.insert(vecs1, pos, w1, axis=0)
@@ -196,7 +188,7 @@ def scan_gap(
         deltas=np.asarray(sched.delta(times), dtype=float),
         e0s=e0s,
         e1s=e1s,
-        gaps=gaps,
+        gaps=e1s - e0s,
         t_min=float(t_min),
         delta_min=float(sched.delta(t_min)),
         g_min=float(g_min),

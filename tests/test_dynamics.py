@@ -5,6 +5,7 @@ import pytest
 
 import rydmis.dynamics
 from rydmis import (
+    ConvergenceError,
     EvolveOptions,
     HamiltonianTerms,
     PulseSchedule,
@@ -15,6 +16,7 @@ from rydmis import (
     evolve,
     evolve_two_level,
     hamiltonian_terms,
+    krylov,
     standard_schedule,
     transfer_schedule,
 )
@@ -171,6 +173,34 @@ def test_evolve_logs_its_cost(params, caplog, monkeypatch):
         assert word in line
     assert f" {len(matvecs)} matvecs" in line
     assert "not run" not in line
+
+
+def test_every_projection_starts_from_the_pair_before_it(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_7"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    calls = []
+    solve = rydmis.dynamics.eigenpairs_lowest2
+
+    def spy(H, v0=None):
+        e0, e1, w0, w1 = solve(H, v0=v0)
+        calls.append((v0, w0 + w1))
+        return e0, e1, w0, w1
+
+    monkeypatch.setattr(rydmis.dynamics, "eigenpairs_lowest2", spy)
+    evolve(h, standard_schedule(params), EvolveOptions(n_output=12))
+    # omega = 0 at t = 0 and t = T, so the check run's two outputs need no solve
+    assert len(calls) == 10
+    assert calls[0][0] is None
+    for k in range(1, len(calls)):
+        assert np.array_equal(calls[k][0], calls[k - 1][1]), k
+
+
+def test_failed_projection_names_its_time(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    monkeypatch.setattr(krylov, "MAX_MATVECS", 5)
+    with pytest.raises(ConvergenceError, match="ground projection at t = "):
+        evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
 
 
 def test_fig3b_robust_claims(q1d10_profile, q1d10_evolutions):

@@ -8,6 +8,7 @@ from scipy.linalg import eigh
 import rydmis.isets
 from rydmis import (
     AtomArray,
+    BasisSet,
     BlockadeGraph,
     DimensionLimitError,
     PhysicalParams,
@@ -160,6 +161,13 @@ def test_sx_rows_hold_the_ascending_single_flips(params, instance, kind):
     assert np.array_equal(h.sx.indptr, indptr)
     assert np.array_equal(h.sx.indices, indices)
     assert np.array_equal(h.sx.data, np.full(indices.size, 0.5))
+
+
+def test_terms_reject_a_basis_without_its_states_with_one_atom_cleared(params):
+    # 0b11 is there but neither 0b01 nor 0b10: no flip pair has both ends in the basis
+    g, _ = _pair(params)
+    with pytest.raises(ValueError, match="any one atom cleared"):
+        hamiltonian_terms(g, BasisSet("custom", 2, np.array([0b00, 0b11])))
 
 
 def test_terms_allocate_little_beyond_what_they_keep(params):

@@ -213,6 +213,48 @@ def test_scan_logs_its_cost(params, caplog, monkeypatch):
     assert re.search(r", \d+\.\d{3} s$", line)
 
 
+def _spy_solves(monkeypatch, h):
+    """Record (v0, w0 + w1, gap, matvecs) of every spectrum.eigenpairs_lowest2 call."""
+    calls = []
+    solve = rydmis.spectrum.eigenpairs_lowest2
+
+    def spy(H, v0=None):
+        matvecs = h.matvecs
+        e0, e1, w0, w1 = solve(H, v0=v0)
+        calls.append((v0, w0 + w1, e1 - e0, h.matvecs - matvecs))
+        return e0, e1, w0, w1
+
+    monkeypatch.setattr(rydmis.spectrum, "eigenpairs_lowest2", spy)
+    return calls
+
+
+def test_every_scan_solve_starts_from_the_pair_before_it(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_7"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    calls = _spy_solves(monkeypatch, h)
+    n = 60
+    scan_gap(h, standard_schedule(params), n_samples=n)
+    starts, pairs, gaps, _ = zip(*calls)
+    assert len(calls) > n + 1
+    # the first probe starts from the pair of the smallest sampled gap
+    expected = (None, *pairs[: n - 1], pairs[int(np.argmin(gaps[:n]))], *pairs[n:-1])
+    assert starts[0] is None
+    for k in range(1, len(calls)):
+        assert np.array_equal(starts[k], expected[k]), k
+
+
+def test_near_degenerate_scan_solves_stay_cheap(params, monkeypatch):
+    # constant U on Q1D_9: the gap closes to about 0 near T, where E0 and E1
+    # split only at high order in the small omega
+    g = blockade_graph(builtin_instance("Q1D_9"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"), interaction="constant")
+    calls = _spy_solves(monkeypatch, h)
+    scan_gap(h, standard_schedule(params), n_samples=100, store_vectors=False,
+             t_span=(params.ramp_time, params.total_time - 1e-3))
+    worst = max(matvecs for *_, matvecs in calls)
+    assert worst <= 1000, worst
+
+
 def test_gap_minimum_location_q1d10(params, q1d10_profile):
     # published: (3.60 us, 2pi x 1.38 MHz, 2pi x 0.29 MHz)
     assert q1d10_profile.t_min == pytest.approx(3.60, abs=0.05)
