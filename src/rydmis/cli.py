@@ -70,7 +70,7 @@ class RunConfig:
 
     ``method`` is std, adglb, transfer or the path of a schedule JSON
     file; ``j_grid`` lists the ADGLB exponents a pipeline runs instead
-    of the single ``j``.
+    of the single ``j``, and must be empty for any other method.
     """
 
     instance: str = "Q1D_10"
@@ -97,6 +97,8 @@ class RunConfig:
         if self.shots < 1:
             raise ValueError(f"shots = {self.shots}: a run needs at least one shot")
         EvolveOptions(n_output=self.n_output)  # raises for fewer than 2 output times
+        if self.j_grid and self.method != "adglb":
+            raise ValueError(f"j_grid lists ADGLB exponents; method {self.method!r} runs none")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -203,7 +205,7 @@ def _gap_columns(profile: GapProfile) -> dict:
 
 
 def _evolution_columns(res: EvolutionResult) -> dict:
-    return {"t_us": (F6, res.times), "p_e0": (F8, res.p_e0), "p_leak": (F8, res.p_leak),
+    return {"t_us": (F6, res.times), "p_e0": (F8, res.p_e0), "p_leak": (F8, 1.0 - res.p_e0),
             "mis_overlap": (F8, res.mis_overlap)}
 
 
@@ -261,8 +263,8 @@ def cmd_twolevel(run: Run, args) -> int:
     times, p_e1 = evolve_two_level(model)
     _write_csv(Path(args.out), {
         "t_us": (F6, times),
-        "gap": (F6, to_mhz(model.gap_at(times))),
-        "coupling": (F6, to_mhz(model.coupling_at(times))),
+        "gap": (F6, to_mhz(np.interp(times, model.times, model.gap))),
+        "coupling": (F6, to_mhz(np.interp(times, model.times, model.coupling))),
         "p_e1": (F8, p_e1),
     })
     print(f"two-level final leakage = {p_e1[-1]:.4f} -> {args.out}")
@@ -336,7 +338,7 @@ def cmd_pipeline(run: Run, args) -> int:
     cfg, out_dir = run.cfg, Path(args.out_dir)
     # graph, schedules and terms reject a bad setting before anything is written
     stats = count_isets(run.graph)
-    js = cfg.j_grid if (cfg.method == "adglb" and cfg.j_grid) else [cfg.j]
+    js = cfg.j_grid or [cfg.j]
     jobs = [(run, out_dir, f"_j{j:g}" if len(js) > 1 else "", j, run.schedule(j)) for j in js]
     run.terms
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -106,11 +106,10 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """Ground-population, leakage and MIS-overlap series plus final state."""
+    """Ground-population and MIS-overlap series plus final state."""
 
     times: np.ndarray
     p_e0: np.ndarray
-    p_leak: np.ndarray
     mis_overlap: np.ndarray
     final_state: QuantumState
     final_p_e0: float
@@ -288,7 +287,6 @@ def evolve(
     return EvolutionResult(
         times=times,
         p_e0=p_e0,
-        p_leak=1.0 - p_e0,
         mis_overlap=p_mis,
         final_state=QuantumState(basis=h.basis, amplitudes=psi),
         final_p_e0=final_p_e0,
@@ -309,12 +307,6 @@ class TwoLevelModel:
     times: np.ndarray
     coupling: np.ndarray
     gap: np.ndarray
-
-    def coupling_at(self, t):
-        return np.interp(t, self.times, self.coupling)
-
-    def gap_at(self, t):
-        return np.interp(t, self.times, self.gap)
 
 
 def build_two_level_model(
@@ -347,7 +339,7 @@ def evolve_two_level(m: TwoLevelModel) -> tuple[np.ndarray, np.ndarray]:
     """
 
     def at(t: float) -> tuple[float, float]:
-        return float(m.coupling_at(t)), float(m.gap_at(t))
+        return float(np.interp(t, m.times, m.coupling)), float(np.interp(t, m.times, m.gap))
 
     def expm(k: float, gap: float, tau: float, c: np.ndarray) -> np.ndarray:
         # exp(-i tau (k s_y + b s_z)) c with b = -gap/2

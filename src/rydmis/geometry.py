@@ -1,4 +1,7 @@
-"""Atom arrays, physical parameters and the blockade graph.
+"""Atom arrays, physical parameters, pair geometry and the blockade graph.
+
+``pair_offsets`` is the one place pair geometry is computed: the
+coincidence check, the blockade graph and the vdW tails all read it.
 
 Unit conventions used throughout the package:
 
@@ -17,11 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .configs import atom_bit
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,15 +73,9 @@ class PhysicalParams:
             raise ValueError("need delta_i < 0 < delta_f")
 
     @classmethod
-    def from_mhz(
-        cls,
-        c6_mhz_um6: float = STOCK_MHZ["c6_mhz_um6"],
-        omega0_mhz: float = STOCK_MHZ["omega0_mhz"],
-        delta_i_mhz: float = STOCK_MHZ["delta_i_mhz"],
-        delta_f_mhz: float = STOCK_MHZ["delta_f_mhz"],
-        total_time_us: float = STOCK_MHZ["total_time_us"],
-        ramp_time_us: float = STOCK_MHZ["ramp_time_us"],
-    ) -> "PhysicalParams":
+    def from_mhz(cls, c6_mhz_um6: float, omega0_mhz: float, delta_i_mhz: float, delta_f_mhz: float,
+                 total_time_us: float, ramp_time_us: float) -> "PhysicalParams":
+        """From frequencies as value/2pi in MHz, all required; STOCK_MHZ has the stock ones."""
         return cls(
             c6=from_mhz(c6_mhz_um6),
             omega0=from_mhz(omega0_mhz),
@@ -92,7 +88,7 @@ class PhysicalParams:
     @classmethod
     def default(cls) -> "PhysicalParams":
         """The stock hardware values, STOCK_MHZ."""
-        return cls.from_mhz()
+        return cls.from_mhz(**STOCK_MHZ)
 
     @property
     def blockade_radius(self) -> float:
@@ -112,11 +108,10 @@ class AtomArray:
     positions: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.positions)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _dist(self.positions[i], self.positions[j]) == 0.0:
-                    raise ValueError(f"atoms {i + 1} and {j + 1} coincide")
+        i, j, offsets = pair_offsets(self.positions)
+        coincide = np.flatnonzero(~offsets.any(axis=1))
+        if coincide.size:
+            raise ValueError(f"atoms {i[coincide[0]] + 1} and {j[coincide[0]] + 1} coincide")
 
     @property
     def n(self) -> int:
@@ -159,19 +154,17 @@ class BlockadeGraph:
     u_per_edge: float
     positions: tuple[tuple[float, float], ...] = ()
     c6: float = 0.0
-    adjacency: tuple[int, ...] = field(repr=False, default=())
-
-    def __post_init__(self) -> None:
-        if not self.adjacency:
-            adj = [0] * self.n
-            for u, v in self.edges:
-                adj[u] |= atom_bit(self.n, v)
-                adj[v] |= atom_bit(self.n, u)
-            object.__setattr__(self, "adjacency", tuple(adj))
 
 
-def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
+def pair_offsets(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every atom pair i < j of n positions, in row-major order, and its offset.
+
+    Returns (i, j, offsets): two int arrays of length m = n(n-1)/2 and
+    the (m, 2) array of positions[i] - positions[j] in um.
+    """
+    xy = np.asarray(positions, dtype=float).reshape(len(positions), 2)
+    i, j = np.triu_indices(len(positions), 1)
+    return i, j, xy[i] - xy[j]
 
 
 # Published coordinate tables, stored exactly as printed (2-decimal um).
@@ -300,18 +293,12 @@ def blockade_graph(
     if arr.n == 0:
         raise ValueError("empty atom array")
     r_b = p.blockade_radius
-    edges = frozenset(
-        (i, j)
-        for i in range(arr.n)
-        for j in range(i + 1, arr.n)
-        if _dist(arr.positions[i], arr.positions[j]) <= r_b
-    )
-    u = 0.0
-    if edges:
-        spacing = statistics.median(
-            _dist(arr.positions[i], arr.positions[j]) for i, j in edges
-        )
-        u = p.c6 / spacing**6
+    i, j, offsets = pair_offsets(arr.positions)
+    dist = np.hypot(offsets[:, 0], offsets[:, 1])
+    near = dist <= r_b
+    edges = frozenset(zip(i[near].tolist(), j[near].tolist()))
+    spacing = float(np.median(dist[near])) if edges else math.inf  # so U = 0 without edges
+    u = p.c6 / spacing**6
     if require_mis_encoding and arr.n >= 2:
         if not edges:
             raise ValueError(

@@ -7,8 +7,9 @@ with sz = |g><g| - |r><r| = 1 - 2n, so positive detuning favours the
 Rydberg state.  Two interaction modes:
 
 * "tails" (default): u_uv = C6 / r_uv^6 for every atom pair, the
-  physical van-der-Waals interaction.  This is what reproduces the
-  published gap-minimum location and evolution fidelities.
+  physical van-der-Waals interaction, with r_uv from the offsets of
+  ``geometry.pair_offsets``.  This is what reproduces the published
+  gap-minimum location and evolution fidelities.
 * "constant": u_uv = U on blockade-graph edges only and zero elsewhere,
   the idealized single-U model.
 
@@ -43,7 +44,7 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .configs import atom_bit, occupancy
 from .errors import DimensionLimitError
-from .geometry import BlockadeGraph
+from .geometry import BlockadeGraph, pair_offsets
 from .isets import independent_configs
 
 FULL_BASIS_MAX_ATOMS = 24
@@ -144,10 +145,8 @@ def _pair_energies(g: BlockadeGraph, interaction: str) -> np.ndarray:
             raise ValueError(
                 "graph carries no geometry; tails mode needs positions and C6"
             )
-        xy = np.asarray(g.positions, dtype=float)
-        upper = np.triu_indices(g.n, 1)
-        r2 = np.sum((xy[upper[0]] - xy[upper[1]]) ** 2, axis=1)
-        energies[upper] = g.c6 / r2**3
+        i, j, offsets = pair_offsets(g.positions)
+        energies[i, j] = g.c6 / np.sum(offsets**2, axis=1) ** 3
         return energies
     raise ValueError(f"unknown interaction mode {interaction!r}")
 

@@ -1,7 +1,8 @@
 """Independent-set combinatorics on the blockade graph.
 
 Every independent set of the graph is listed once, as the ascending int64
-array of ``independent_configs`` that is also the blockade basis.  The
+array of ``independent_configs`` that is also the blockade basis; it
+makes each atom's neighbour mask from the graph's edges itself.  The
 census, ``count_isets``, reads everything else off that array and is the
 only source of MIS facts: the counts R_k by size are a bincount of its
 popcounts, the maximum independent sets (MIS) are its configurations of
@@ -49,9 +50,13 @@ def independent_configs(g: BlockadeGraph) -> np.ndarray:
     DimensionLimitError before the array would grow beyond
     BLOCKADE_BASIS_MAX_STATES configurations.
     """
+    adjacency = [0] * g.n  # adjacency[v]: the configuration of v's neighbours
+    for u, v in g.edges:
+        adjacency[u] |= atom_bit(g.n, v)
+        adjacency[v] |= atom_bit(g.n, u)
     states = np.zeros(1, dtype=np.int64)
     for v in reversed(range(g.n)):
-        free = states[(states & g.adjacency[v]) == 0]
+        free = states[(states & adjacency[v]) == 0]
         if states.size + free.size > BLOCKADE_BASIS_MAX_STATES:
             raise DimensionLimitError(
                 f"blockade basis exceeds the {BLOCKADE_BASIS_MAX_STATES}-state guard "

@@ -276,8 +276,11 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
     ({}, ["--instance", "NOPE"], "NOPE"),
     ({"basis": "bogus"}, [], "basis"),
     ({"basis": "bogus"}, ["--method", "std"], "basis"),
+    ({"method": "std", "j_grid": [1.0, 2.0], "n_output": 5, "shots": 20}, [], "j_grid"),
+    ({"j_grid": [1.0, 2.0]}, ["--method", "transfer"], "j_grid"),
 ], ids=["shots_flag", "n_output_config", "negative_j", "few_samples", "transfer_nu_d",
-        "unknown_instance", "basis_config", "basis_config_std"])
+        "unknown_instance", "basis_config", "basis_config_std", "j_grid_std",
+        "j_grid_transfer_flag"])
 def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, flags, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"instance": "Q1D_4", **config}))

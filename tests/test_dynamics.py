@@ -203,6 +203,21 @@ def test_failed_projection_names_its_time(params, monkeypatch):
         evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="ROADMAP item 2: a cold ground projection at small omega exhausts "
+                          "the Lanczos matvec budget; remove this marker when it converges")
+def test_cold_projection_converges_at_small_omega(params, q1d10):
+    # t = T/400 on the standard sweep: omega = 2pi x 0.025 MHz; at T/200 it converges
+    _, _, h = q1d10
+    sched = standard_schedule(params)
+    t = sched.total_time / 400.0
+    psi = np.zeros(h.dim, dtype=complex)
+    psi[0] = 1.0
+    p_e0, _ = rydmis.dynamics._ground_projection(
+        h, float(sched.omega(t)), float(sched.delta(t)), psi)
+    assert 0.0 <= p_e0 <= 1.0 + 1e-12
+
+
 def test_fig3b_robust_claims(q1d10_profile, q1d10_evolutions):
     """The paper's fig. 3b ordering and gap minimum.
 

@@ -45,6 +45,9 @@ COMMANDS = [
     ("twolevel", ["twolevel", "--instance", "Q1D_10", "--out", "{out}/twolevel.csv"]),
     ("evolve", ["evolve", "--instance", "Q1D_10", "--schedule", "transfer", "--n-output", "20",
                 "--out", "{out}/evolve.csv", "--state-out", "{out}/evolve_state.json"]),
+    # the only command on the constant-U model, so a change in u_per_edge shows
+    ("evolve constant", ["evolve", "--instance", "Q1D_7", "--interaction", "constant",
+                         "--n-output", "20", "--out", "{out}/evolve_constant.csv"]),
     ("gap", ["gap", "--instance", "TD_25", "--basis", "blockade", "--samples", "60",
              "--out", "{out}/gap.csv"]),
 ]
