@@ -99,6 +99,10 @@ class RunConfig:
         EvolveOptions(n_output=self.n_output)  # raises for fewer than 2 output times
         if self.j_grid and self.method != "adglb":
             raise ValueError(f"j_grid lists ADGLB exponents; method {self.method!r} runs none")
+        tags = [f"_j{j:g}" for j in self.j_grid]  # the pipeline's run tags
+        shared = next((tag for tag in tags if tags.count(tag) > 1), None)
+        if shared:
+            raise ValueError(f"j_grid lists two exponents with the run tag {shared}")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":

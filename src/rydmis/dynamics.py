@@ -18,10 +18,10 @@ then shrinks and rejects steps around it.  So no trial step crosses a
 knot of the drive.
 
 In the full evolution the pair is (omega, delta), and an exponential is
-``krylov.expm_lanczos`` on ``HamiltonianTerms.matvec``: the Krylov basis
-and its cap KRYLOV_DIM live in ``krylov``, and it grows by the same
-Gram-Schmidt step as the eigensolver's.  In the two-level reduction the
-pair is (K, gap), and an exponential is the closed-form 2x2 rotation.
+``krylov.expm_lanczos`` on ``HamiltonianTerms.matvec``: per Krylov vector
+one matvec at the fixed pair and the three-term Lanczos recurrence, with
+about one tridiagonal solve per exponential.  In the two-level reduction
+the pair is (K, gap), and an exponential is the closed-form 2x2 rotation.
 
 The ground population at each output time comes from
 ``spectrum.eigenpairs_lowest2`` on the operator of ``hamiltonian.assemble``,

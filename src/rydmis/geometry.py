@@ -98,7 +98,7 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class AtomArray:
-    """A named, ordered set of 2D atom coordinates in um.
+    """A named, ordered set of finite, distinct 2D atom coordinates in um.
 
     Atom indices are 0-based internally; reports and file formats use
     1-based indices to match the published coordinate tables.
@@ -108,6 +108,9 @@ class AtomArray:
     positions: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        finite = np.isfinite(np.asarray(self.positions, dtype=float)).reshape(self.n, 2).all(1)
+        if not finite.all():
+            raise ValueError(f"atom {np.argmin(finite) + 1} has a non-finite coordinate")
         i, j, offsets = pair_offsets(self.positions)
         coincide = np.flatnonzero(~offsets.any(axis=1))
         if coincide.size:

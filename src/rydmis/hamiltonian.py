@@ -14,15 +14,14 @@ Rydberg state.  Two interaction modes:
   the idealized single-U model.
 
 omega and delta enter linearly, so ``HamiltonianTerms`` caches H as the
-off-diagonal bit-flip pattern ``sx`` and two diagonal vectors, and its
-``matvec`` applies H(omega, delta) = omega sx + delta zdiag + udiag in one
-fused kernel.  That kernel is the package's only H psi, and it counts its
-calls.  ``assemble`` binds (omega, delta) to the terms as a
-``HamiltonianOperator`` with ``shape``, ``diagonal()`` and ``@``, so no
-solve sums a sparse H: the matrix-free operator of Weinberg & Bukov
-(QuSpin, SciPost Phys. 2, 003, 2017).  The interaction diagonal
-``udiag`` is sum_(u<v) u_uv n_u n_v per state, built as occupancy rows
-times the pair-energy matrix, UDIAG_CHUNK states at a time.
+bit-flip pattern ``sx`` and two diagonal vectors, and its ``matvec``
+applies H(omega, delta) = omega sx + delta zdiag + udiag in one fused
+kernel that keeps delta zdiag + udiag until delta changes.  That kernel
+is the package's only H psi, and it counts its calls.  ``assemble`` binds
+(omega, delta) to the terms as a ``HamiltonianOperator`` with ``shape``,
+``diagonal()`` and ``@``, so no solve sums a sparse H: the matrix-free
+operator of Weinberg & Bukov (QuSpin, SciPost Phys. 2, 003, 2017).
+``udiag`` = sum_(u<v) u_uv n_u n_v is built UDIAG_CHUNK states at a time.
 
 A basis is one strictly ascending int64 array of configurations
 (``BasisSet.states``) that holds each of its states with any one atom
@@ -107,6 +106,7 @@ class HamiltonianTerms:
     zdiag: np.ndarray = field(repr=False)
     udiag: np.ndarray = field(repr=False)
     matvecs: int = field(default=0, init=False)
+    _diag: tuple = field(default=(None, None), init=False, repr=False)  # delta, its diagonal
 
     @property
     def dim(self) -> int:
@@ -128,8 +128,10 @@ class HamiltonianTerms:
             raise ValueError(f"psi has shape {psi.shape}, the basis has dimension {self.dim}")
         self.matvecs += 1
         data = self._sx_data_complex if np.iscomplexobj(psi) else self.sx.data
-        out = (delta * self.zdiag + self.udiag) * psi
-        csr_matvec(self.dim, self.dim, self.sx.indptr, self.sx.indices, data, omega * psi, out)
+        if self._diag[0] != delta:
+            self._diag = (delta, delta * self.zdiag + self.udiag)
+        out = self._diag[1] * psi
+        csr_matvec(psi.size, psi.size, self.sx.indptr, self.sx.indices, data, omega * psi, out)
         return out
 
 

@@ -1,27 +1,25 @@
-"""One Lanczos kernel: Gram-Schmidt extension of a row-major Krylov basis.
+"""One Lanczos kernel: the row-major Krylov bases of both solvers.
 
-``_orthogonalize`` is the one Gram-Schmidt step: every Krylov basis grows
-by w = A basis[j], then that step against basis[:j+1].  This module
-holds both solvers that build such a basis, and no other module
-allocates one.  They see the operator A only through a matvec callable
-and never as a matrix:
+This module holds both solvers that build a Krylov basis, and no other
+module allocates one.  They see the operator A only through a matvec
+callable and never as a matrix, and both grow the basis by w = A basis[j]:
 
 - ``lowest_eigenpairs``, thick-restart Lanczos (Wu & Simon, SIAM J.
   Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a real
-  symmetric operator; ``spectrum.eigenpairs_lowest2`` passes it the ``@``
-  of a ``hamiltonian.assemble`` operator, ``HamiltonianTerms.matvec``;
+  symmetric operator, on the ``@`` of a ``hamiltonian.assemble`` operator.
+  A restart rotates the basis onto Ritz vectors, which needs it
+  orthonormal, so ``_orthogonalize`` removes the last two rows from w,
+  then the whole basis by classical Gram-Schmidt, repeated when that
+  cancels most of w (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
+  1976: ||w|| below DGKS_RATIO of its norm before the pass).
 - ``expm_lanczos``, the Krylov exponential exp(-i tau A) v (Saad, SIAM
-  J. Numer. Anal. 29, 1992) in at most KRYLOV_DIM vectors; ``dynamics``
-  runs it on the same ``HamiltonianTerms.matvec`` for its CF4 step.
-
-The basis is stored row by row (``basis[j]`` is the j-th vector).  A
-step first projects out the last two rows, which hold the large
-three-term Lanczos components of A basis[j] and cost two short passes.
-One classical Gram-Schmidt pass over the whole basis follows, as the
-conjugate of a product with conj(w), so the block itself is never
-copied.  A second full pass runs only when that pass cancels most of w:
-the test of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976)
-repeats it when ||w|| falls below DGKS_RATIO of its norm before the pass.
+  J. Numer. Anal. 29, 1992) in at most KRYLOV_DIM vectors, for the CF4
+  step of ``dynamics``.  A Lanczos approximation of a matrix function
+  stays accurate as the basis loses orthogonality (Druskin, Greenbaum &
+  Knizhnerman, SIAM J. Sci. Comput. 19, 1998), so w takes only the
+  three-term recurrence.  The tridiagonal solve of its stopping test is
+  skipped while the test's leading Taylor term is at least tol
+  (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1997).
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import logging
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import zaxpy
 from scipy.linalg.lapack import dstev
 
 from .errors import ConvergenceError
@@ -50,7 +49,8 @@ KRYLOV_DIM = 48  # Krylov vectors before expm_lanczos splits its interval
 
 def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One classical Gram-Schmidt pass: subtract from w, in place, its
-    components along the rows of q, and return them (q^H w)."""
+    components along the rows of q and return them, q^H w, taken as
+    conj(q conj(w)) so that the block q is never copied."""
     c = (q @ w.conj()).conj()
     w -= c @ q
     return c
@@ -59,9 +59,8 @@ def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _orthogonalize(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Remove span(q) from w in place: the last two rows, then all of q.
 
-    The full pass is repeated when it leaves w with less than DGKS_RATIO
-    of its norm.  Returns the summed coefficients q^H w, the final ||w||
-    and whether the repeat ran.
+    Returns the summed coefficients q^H w, the final ||w|| and whether
+    the DGKS repeat of the full pass ran.
     """
     local = _project_out(q[-2:], w)
     before = np.vdot(w, w).real  # squared norms: vdot costs less than linalg.norm
@@ -177,30 +176,37 @@ def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_ei
 def expm_lanczos(matvec, v: np.ndarray, tau: float, tol: float) -> np.ndarray:
     """exp(-i tau A) v for Hermitian A via a Lanczos Krylov subspace.
 
-    The basis grows by the same matvec and ``_orthogonalize`` step as in
-    ``lowest_eigenpairs`` (in a buffer of 8 rows, doubled when full)
-    until the residual estimate drops below tol.  Falls back to two
-    half-interval applications if KRYLOV_DIM vectors are reached first.
+    The basis grows (in a buffer of 8 rows, doubled when full) by alpha_j =
+    Re <q_j, w>, w -= alpha_j q_j + beta_(j-1) q_(j-1), beta_j = ||w|| until
+    beta_j |y_j| min(|tau|, 1) < tol for y = exp(-i tau T) e_1.  y is
+    computed only once that test's leading Taylor term is below tol, or at
+    KRYLOV_DIM vectors; reaching them, two half-interval applications run.
     """
     beta0 = np.linalg.norm(v)
     if beta0 == 0.0:
         return v.copy()
     basis = np.empty((8, v.size), dtype=complex)
-    basis[0] = v / beta0
+    basis[0] = v * (1.0 / beta0)
     alphas = np.empty(KRYLOV_DIM)
     betas = np.empty(KRYLOV_DIM)
+    taylor = scale = min(abs(tau), 1.0)  # taylor: |tau|^j beta_0...beta_(j-1) / j! scale
     for j in range(KRYLOV_DIM):
         w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
-        c, beta, _ = _orthogonalize(basis[: j + 1], w)
-        alphas[j] = c[j].real
-        y = _expm_tridiag(alphas[: j + 1], betas[:j], tau)
-        if beta < 1e-14 or beta * abs(y[-1]) * min(abs(tau), 1.0) < tol:
-            return beta0 * (y @ basis[: j + 1])
+        alphas[j] = np.vdot(basis[j], w).real
+        w = zaxpy(basis[j], w, a=-alphas[j])  # BLAS axpy: in place, no temporary
+        if j:
+            w = zaxpy(basis[j - 1], w, a=-betas[j - 1])
+        beta = np.sqrt(np.vdot(w, w).real)
+        if beta < 1e-14 or beta * taylor < tol or j + 1 == KRYLOV_DIM:
+            y = _expm_tridiag(alphas[: j + 1], betas[:j], tau)
+            if beta < 1e-14 or beta * abs(y[-1]) * scale < tol:
+                return beta0 * (y @ basis[: j + 1])
         if j + 1 < KRYLOV_DIM:
             betas[j] = beta
+            taylor *= abs(tau) * beta / (j + 1)
             if j + 1 == len(basis):
                 basis = np.concatenate((basis, np.empty_like(basis[: KRYLOV_DIM - j - 1])))
-            basis[j + 1] = w / beta
+            basis[j + 1] = w * (1.0 / beta)  # w / beta would run a slower complex division
     half = expm_lanczos(matvec, v, tau / 2.0, tol / 2.0)
     return expm_lanczos(matvec, half, tau / 2.0, tol / 2.0)
 

@@ -278,9 +278,12 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
     ({"basis": "bogus"}, ["--method", "std"], "basis"),
     ({"method": "std", "j_grid": [1.0, 2.0], "n_output": 5, "shots": 20}, [], "j_grid"),
     ({"j_grid": [1.0, 2.0]}, ["--method", "transfer"], "j_grid"),
+    ({"method": "adglb", "j_grid": [1.0, 1.0], "n_output": 5, "shots": 20, "samples": 20}, [],
+     "j_grid lists two exponents with the run tag _j1"),
+    ({"j_grid": [1.0, 1.0000001]}, [], "j_grid lists two exponents with the run tag _j1"),
 ], ids=["shots_flag", "n_output_config", "negative_j", "few_samples", "transfer_nu_d",
         "unknown_instance", "basis_config", "basis_config_std", "j_grid_std",
-        "j_grid_transfer_flag"])
+        "j_grid_transfer_flag", "j_grid_same_tag", "j_grid_tag_collision"])
 def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, flags, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"instance": "Q1D_4", **config}))
@@ -288,6 +291,17 @@ def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, fl
     assert main(["pipeline", "--config", str(path), *flags, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_instance_file_with_a_non_finite_atom_exits_1(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"name": "x", "positions_um": [[0, 0], [{bad}, 0], [8, 0]]}}')
+    out = tmp_path / "run"
+    assert main(["pipeline", "--instance", str(path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "atom 2 has a non-finite coordinate" in err
     assert not out.exists()
 
 

@@ -195,6 +195,24 @@ def test_every_projection_starts_from_the_pair_before_it(params, monkeypatch):
         assert np.array_equal(calls[k][0], calls[k - 1][1]), k
 
 
+def test_about_one_tridiagonal_solve_per_exponential(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_7"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    calls = {"expm": 0, "solve": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(rydmis.dynamics, "expm_lanczos", spy("expm", krylov.expm_lanczos))
+    monkeypatch.setattr(krylov, "_expm_tridiag", spy("solve", krylov._expm_tridiag))
+    evolve(h, standard_schedule(params), EvolveOptions(n_output=2))
+    assert calls["expm"] > 100
+    assert calls["solve"] <= 1.2 * calls["expm"]
+
+
 def test_failed_projection_names_its_time(params, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))

@@ -165,6 +165,12 @@ def test_coincident_atoms_rejected():
         AtomArray(name="bad", positions=((0.0, 0.0), (0.0, 0.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_atom_rejected(bad):
+    with pytest.raises(ValueError, match="atom 2 has a non-finite coordinate"):
+        AtomArray(name="bad", positions=((0.0, 0.0), (8.0, bad), (bad, 0.0)))
+
+
 def test_unit_conversions():
     assert from_mhz(1.0) == pytest.approx(2 * np.pi)
     assert to_mhz(from_mhz(3.29)) == pytest.approx(3.29)

@@ -224,6 +224,21 @@ def test_matvec_consistent_with_assemble(params):
     np.testing.assert_allclose(op.diagonal(), np.diag(oracle), rtol=0.0, atol=1e-12)
 
 
+def test_matvec_follows_every_change_of_omega_and_delta(params):
+    # matvec keeps delta*zdiag + udiag while delta is unchanged; each call
+    # must still act with its own (omega, delta) and be counted
+    arr = builtin_instance("Q1D_7")
+    g = blockade_graph(arr, params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    rng = np.random.default_rng(5)
+    pairs = [(1.0, 0.3), (1.0, 0.3), (0.5, 0.3), (0.5, -0.7), (1.0, 0.3), (0.0, -0.7)]
+    for k, (omega, delta) in enumerate(from_mhz(np.array(pairs)).tolist()):
+        oracle = oracle_dense_hamiltonian(arr.positions, params.c6, omega, delta)
+        v = rng.normal(size=h.dim) + (1j * rng.normal(size=h.dim) if k % 2 else 0.0)
+        np.testing.assert_allclose(h.matvec(omega, delta, v), oracle @ v, rtol=0.0, atol=1e-12)
+        assert h.matvecs == k + 1
+
+
 def test_assemble_binds_the_cached_terms_without_a_matrix(params):
     _, h = _q1d10(params)
     op = assemble(h, from_mhz(1.0), from_mhz(0.3))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rydmis import assemble, krylov
 
@@ -65,3 +66,24 @@ def test_krylov_exponential_allocates_only_the_basis_it_uses():
     np.testing.assert_allclose(out, np.exp(-0.02j * diag) * v, rtol=0.0, atol=1e-9)
     # six Krylov vectors suffice; a basis of KRYLOV_DIM = 48 rows alone is 50 MB
     assert peak < krylov.KRYLOV_DIM * dim * 16 / 2
+
+
+@pytest.mark.parametrize("dim, tau", [(300, 0.01), (300, 1.0), (512, 10.0), (1024, 22.0),
+                                      (300, 30.0)])
+def test_krylov_exponential_matches_dense_expm(dim, tau):
+    # ||A|| = 1, so tau = 22 needs 40-odd Krylov vectors built by the bare
+    # three-term recurrence, and tau = 30 splits the interval
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    a = (a + a.T) / 2.0
+    a /= np.abs(np.linalg.eigvalsh(a)).max()
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    tol = 1e-10
+    vectors = []
+    out = krylov.expm_lanczos(lambda x: vectors.append(1) or a @ x, v, tau, tol)
+    assert np.linalg.norm(out - expm(-1j * tau * a) @ v) <= 10 * tol
+    if tau == 22.0:
+        assert 40 <= len(vectors) < krylov.KRYLOV_DIM
+    if tau == 30.0:
+        assert len(vectors) > krylov.KRYLOV_DIM

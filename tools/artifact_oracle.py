@@ -10,7 +10,10 @@ run at the same time.  Then:
 - exit codes must be equal;
 - stdout must be byte-identical once the output directory is replaced by
   a placeholder;
-- CSV and other non-JSON files must be byte-identical;
+- CSV and other non-JSON files must be byte-identical; for a CSV that
+  differs, the number of differing numeric cells and their largest
+  absolute difference are printed as well, to tell a last-digit change
+  from a real one;
 - JSON files must match in structure, strings and booleans exactly, and
   each number within JSON_RTOL * max(1, |old value|).  A pipeline
   manifest's hashes of JSON artifacts are left out: those artifacts are
@@ -22,6 +25,7 @@ Uses only the standard library.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -115,6 +119,32 @@ def compare_json(old, new, where: str = "") -> tuple[float, list[str]]:
     return max((d for d, _ in parts), default=0.0), [m for _, ms in parts for m in ms]
 
 
+def compare_csv(old: Path, new: Path) -> str:
+    """How two CSV files differ: their differing numeric cells and largest difference.
+
+    A NaN on one side only counts as an infinite difference; a differing
+    non-numeric cell, or a different number of rows or cells, is named.
+    """
+    rows = [list(csv.reader(path.read_text().splitlines())) for path in (old, new)]
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return "rows or cells differ in number"
+    numeric, other = [], 0
+    for a, b in zip(*rows):
+        for x, y in zip(a, b):
+            if x == y:
+                continue
+            try:
+                diff = abs(float(y) - float(x))
+            except ValueError:
+                other += 1
+                continue
+            numeric.append(math.inf if math.isnan(diff) else diff)
+    parts = [f"{len(numeric)} numeric cells differ, by at most {max(numeric, default=0.0):.1e}"]
+    if other:
+        parts.append(f"{other} non-numeric cells differ")
+    return ", ".join(parts)
+
+
 def compare_trees(old: Path, new: Path) -> bool:
     """Print one line per output file; True when every file matches."""
     names = sorted({p.relative_to(old) for p in old.rglob("*") if p.is_file()}
@@ -134,7 +164,8 @@ def compare_trees(old: Path, new: Path) -> bool:
             ok = ok and not mismatches
         else:
             same = a.read_bytes() == b.read_bytes()
-            print(f"  {name}: {'identical' if same else 'DIFFERENT'}")
+            how = "" if same or name.suffix != ".csv" else f" ({compare_csv(a, b)})"
+            print(f"  {name}: {'identical' if same else 'DIFFERENT'}{how}")
             ok = ok and same
     return ok
 
