@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configs import configs_to_bits
 from .dynamics import (
     EvolutionResult,
     EvolveOptions,
@@ -34,6 +35,7 @@ from .dynamics import (
 )
 from .errors import RydmisError
 from .geometry import (
+    BUILTIN_NAMES,
     STOCK_MHZ,
     AtomArray,
     BlockadeGraph,
@@ -57,11 +59,11 @@ PHYSICAL = tuple(STOCK_MHZ)
 
 
 def load_instance(ref: str) -> AtomArray:
-    """Resolve an instance reference: built-in name or JSON file path."""
-    path = Path(ref)
-    if path.suffix == ".json" or path.exists():
-        return AtomArray.load(path)
-    return builtin_instance(ref)
+    """The built-in of a table name or Q1D_<n>, even where a file of that
+    name exists; any other reference is the path of an instance JSON file."""
+    if ref in BUILTIN_NAMES or (ref.startswith("Q1D_") and ref[len("Q1D_"):].isdecimal()):
+        return builtin_instance(ref)
+    return AtomArray.load(ref)
 
 
 @dataclass
@@ -282,11 +284,12 @@ def cmd_sample(run: Run, args) -> int:
     graph = blockade_graph(load_instance(cfg.instance), run.params) if cfg.instance else None
     hist = sample_shots(state, cfg.shots, spam=spam, seed=cfg.seed)
     report = {} if graph is None else histogram_report(hist, graph)
+    bits = configs_to_bits(hist.configs, hist.n_atoms)  # at the file boundary only
     payload = {
         "n_shots": hist.n_shots,
         "seed": hist.seed,
         "spam": None if spam is None else asdict(spam),
-        "counts": hist.counts,
+        "counts": dict(zip(bits, hist.counts.tolist())),
         "p_mis": report.get("p_mis"),
         "p_mis_minus_1": report.get("p_mis_minus_1"),
     }
@@ -365,13 +368,6 @@ def cmd_pipeline(run: Run, args) -> int:
         print(f"{r['tag']}: p_e0 = {r['final_p_e0']:.4f}, p_mis = {r['final_p_mis']:.4f}")
     print(f"manifest -> {out_dir / 'manifest.json'}")
     return 0
-
-
-def verify_manifest(out_dir: str | Path) -> bool:
-    """Recheck artifact hashes recorded in a pipeline manifest."""
-    out_dir = Path(out_dir)
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    return all(_sha256(out_dir / name) == digest for name, digest in manifest["hashes"].items())
 
 
 # ----------------------------------------------------------------- reproduce
@@ -465,6 +461,11 @@ def _reproduce_fig3a(out_dir: Path) -> list[tuple]:
     })
     waypoint_ok = all(abs(schedules[j].delta(profile.t_min) - profile.delta_min) < 1e-6
                       for j in js)
+    # transfer_schedule at nu_d = 0 is the paper's published eta-polynomial drive
+    published = transfer_schedule(p, 0.0)
+    window = np.linspace(*published.sweep_window, 2001)
+    eta_miss = {j: to_mhz(np.abs(schedules[j].delta(window) - published.delta(window)).max())
+                for j in (1.5, 1.8, 2.0)}
     edge_rates = [float(schedules[j].delta_dot(p.ramp_time)) for j in js]
     min_rates = [float(schedules[j].delta_dot(profile.t_min)) for j in js]
     return [
@@ -477,6 +478,9 @@ def _reproduce_fig3a(out_dir: Path) -> list[tuple]:
         ("waypoint sweep rate shrinks with j",
          all(b < a for a, b in zip(min_rates, min_rates[1:])),
          "ddelta/dt(t_min) = " + ", ".join(f"{r:.3f}" for r in min_rates)),
+        ("j = 1.8 drive within 2pi x 0.02 MHz of the published eta polynomials",
+         eta_miss[1.8] <= 0.02, "max |delta - delta_eta| over the sweep = 2pi x "
+         + ", ".join(f"{miss:.4f} MHz (j = {j:g})" for j, miss in eta_miss.items())),
     ]
 
 

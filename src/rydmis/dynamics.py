@@ -76,9 +76,6 @@ class QuantumState:
     basis: BasisSet
     amplitudes: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def to_json(self) -> dict:
         """The nonzero amplitudes as (bits, re, im) entries, in basis order."""
         keep = np.abs(self.amplitudes) > 0.0

@@ -125,6 +125,9 @@ class AtomArray:
 
     @classmethod
     def from_json(cls, data: dict) -> "AtomArray":
+        missing = [key for key in ("name", "positions_um") if key not in data]
+        if missing:
+            raise ValueError(f"instance JSON has no {missing[0]!r} field")
         return cls(
             name=str(data["name"]),
             positions=tuple((float(x), float(y)) for x, y in data["positions_um"]),
@@ -142,10 +145,10 @@ class AtomArray:
 class BlockadeGraph:
     """Unit-disk graph induced by the blockade radius.
 
-    Edges connect atom pairs within r_b.  u_per_edge = C6 / a^6 is the
-    single interaction energy of the constant-U model, with the
-    nearest-neighbor spacing a estimated as the median edge length
-    (printed coordinate tables carry 0.01 um rounding, which a bare
+    Edges connect atom pairs within the blockade radius R_b.  u_per_edge
+    = C6 / a^6 is the single interaction energy of the constant-U model,
+    with the nearest-neighbor spacing a estimated as the median edge
+    length (printed coordinate tables carry 0.01 um rounding, which a bare
     minimum-distance rule would amplify sixfold into U); it is 0 for an
     edgeless graph.  The source positions and C6 are kept so Hamiltonians
     can also be built with the full 1/r^6 pair interactions.
@@ -153,7 +156,6 @@ class BlockadeGraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    r_b: float
     u_per_edge: float
     positions: tuple[tuple[float, float], ...] = ()
     c6: float = 0.0
@@ -229,6 +231,7 @@ _TABLES: dict[str, tuple[tuple[float, float], ...]] = {
 }
 
 BUILTIN_NAMES = tuple(_TABLES)
+KPXP_SPACING_UM = 8.0  # nearest-neighbour spacing of the published zigzag chains
 
 
 def builtin_instance(name: str) -> AtomArray:
@@ -236,7 +239,7 @@ def builtin_instance(name: str) -> AtomArray:
 
     Tabulated instances (Q1D_10, TD_25, TH_37, Qp1D_23) come back with
     their published coordinates verbatim.  Other zigzag-chain sizes are
-    accepted as ``Q1D_<n>`` and generated at the standard 8 um spacing.
+    accepted as ``Q1D_<n>`` and generated by ``generate_kpxp_chain``.
     """
     if name in _TABLES:
         return AtomArray(name=name, positions=_TABLES[name])
@@ -245,15 +248,15 @@ def builtin_instance(name: str) -> AtomArray:
             n = int(name[len("Q1D_"):])
         except ValueError:
             raise ValueError(f"unknown instance {name!r}") from None
-        return generate_kpxp_chain(n, 8.0)
+        return generate_kpxp_chain(n)
     raise ValueError(
         f"unknown instance {name!r}; built-ins are {', '.join(BUILTIN_NAMES)} "
         "or Q1D_<n> for a generated chain"
     )
 
 
-def generate_kpxp_chain(n: int, a: float) -> AtomArray:
-    """Zigzag triangular chain of n atoms with nearest-neighbor spacing a.
+def generate_kpxp_chain(n: int) -> AtomArray:
+    """Zigzag triangular chain of n atoms, nearest neighbors a = KPXP_SPACING_UM apart.
 
     The chain walks cells of three atoms each: a spine atom on the middle
     row, then the top/bottom pair half a cell further along.  Spine atoms
@@ -262,13 +265,12 @@ def generate_kpxp_chain(n: int, a: float) -> AtomArray:
     order, so the spine occupies indices 1, 4, 7, ... (1-based) and the
     unique MIS of the induced blockade graph is the spine itself.
 
-    For n = 10, a = 8 this reproduces the published Q1D_10 coordinates
+    For n = 10 this reproduces the published Q1D_10 coordinates
     (up to 0.01 um print rounding in one table entry).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if a <= 0:
-        raise ValueError("need a > 0")
+    a = KPXP_SPACING_UM
     dx = a * math.sqrt(3.0)
     pos: list[tuple[float, float]] = []
     for i in range(n):
@@ -295,10 +297,9 @@ def blockade_graph(
     """
     if arr.n == 0:
         raise ValueError("empty atom array")
-    r_b = p.blockade_radius
     i, j, offsets = pair_offsets(arr.positions)
     dist = np.hypot(offsets[:, 0], offsets[:, 1])
-    near = dist <= r_b
+    near = dist <= p.blockade_radius
     edges = frozenset(zip(i[near].tolist(), j[near].tolist()))
     spacing = float(np.median(dist[near])) if edges else math.inf  # so U = 0 without edges
     u = p.c6 / spacing**6
@@ -315,7 +316,6 @@ def blockade_graph(
     return BlockadeGraph(
         n=arr.n,
         edges=edges,
-        r_b=r_b,
         u_per_edge=u,
         positions=arr.positions,
         c6=p.c6,

@@ -86,7 +86,7 @@ def classify_bitstring(g: BlockadeGraph, configs: np.ndarray, stats: ISetStats) 
 
     configs is an int array of configurations in the encoding of the
     ``configs`` module; stats is the graph's census.  Returns {"is_independent",
-    "size", "is_mis", "is_mis_minus_1"}, each an array shaped like configs.
+    "is_mis", "is_mis_minus_1"}, each a bool array shaped like configs.
     """
     configs = np.asarray(configs)
     if configs.dtype.kind not in "iu" or np.any((configs < 0) | ((configs >> g.n) != 0)):
@@ -99,7 +99,6 @@ def classify_bitstring(g: BlockadeGraph, configs: np.ndarray, stats: ISetStats) 
         independent &= (configs & pair) != pair
     return {
         "is_independent": independent,
-        "size": size,
         "is_mis": independent & (size == stats.mis_size),
         "is_mis_minus_1": independent & (size == stats.mis_size - 1),
     }

@@ -11,7 +11,8 @@ callable and never as a matrix, and both grow the basis by w = A basis[j]:
   orthonormal, so ``_orthogonalize`` removes the last two rows from w,
   then the whole basis by classical Gram-Schmidt, repeated when that
   cancels most of w (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
-  1976: ||w|| below DGKS_RATIO of its norm before the pass).
+  1976: ||w|| below DGKS_RATIO of its norm before the pass).  The basis
+  and w are float64, so each pass is two real matrix-vector products.
 - ``expm_lanczos``, the Krylov exponential exp(-i tau A) v (Saad, SIAM
   J. Numer. Anal. 29, 1992) in at most KRYLOV_DIM vectors, for the CF4
   step of ``dynamics``.  A Lanczos approximation of a matrix function
@@ -48,10 +49,9 @@ KRYLOV_DIM = 48  # Krylov vectors before expm_lanczos splits its interval
 
 
 def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One classical Gram-Schmidt pass: subtract from w, in place, its
-    components along the rows of q and return them, q^H w, taken as
-    conj(q conj(w)) so that the block q is never copied."""
-    c = (q @ w.conj()).conj()
+    """One classical Gram-Schmidt pass: subtract from the real w, in place,
+    its components q w along the real rows of q, and return them."""
+    c = q @ w
     w -= c @ q
     return c
 
@@ -59,17 +59,17 @@ def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _orthogonalize(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Remove span(q) from w in place: the last two rows, then all of q.
 
-    Returns the summed coefficients q^H w, the final ||w|| and whether
-    the DGKS repeat of the full pass ran.
+    q and w are real.  Returns the summed coefficients q w, the final
+    ||w|| and whether the DGKS repeat of the full pass ran.
     """
     local = _project_out(q[-2:], w)
-    before = np.vdot(w, w).real  # squared norms: vdot costs less than linalg.norm
+    before = w @ w  # squared norms: a dot product costs less than linalg.norm
     c = _project_out(q, w)
-    after = np.vdot(w, w).real
+    after = w @ w
     repeated = bool(after < DGKS_RATIO**2 * before)
     if repeated:
         c += _project_out(q, w)
-        after = np.vdot(w, w).real
+        after = w @ w
     c[-2:] += local
     return c, float(np.sqrt(after)), repeated
 
@@ -134,7 +134,7 @@ def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_ei
             c, beta, repeated = _orthogonalize(basis[: j + 1], w)
             matvecs += 1
             repeats += repeated
-            proj[j, j] = c[j].real
+            proj[j, j] = c[j]
             if beta <= BREAKDOWN * np.hypot(np.linalg.norm(c), beta):
                 beta = 0.0
                 if j + 1 == dim:

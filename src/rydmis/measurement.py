@@ -1,20 +1,21 @@
 """Measurement sampling, readout-error channel and histogram reports.
 
 Shots are drawn from the Born probabilities of a final state; the
-readout channel flips each bit independently and asymmetrically
-(r read as g with probability p_g_given_r, g read as r with
-p_r_given_g).  Histograms are grouped by independent-set class the way
+readout channel flips each bit independently and asymmetrically (r read
+as g with probability p_g_given_r, g read as r with p_r_given_g).  A
+batch is two arrays, its distinct configurations and their counts, that
+``histogram_report`` classifies once, by independent-set class the way
 the experimental analyses present them: MIS, size |MIS|-1 independent
 sets, other independent sets, and blockade-violating strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .configs import bits_to_configs, configs_to_bits, occupancy, occupancy_to_configs
+from .configs import configs_to_bits, occupancy, occupancy_to_configs
 from .geometry import BlockadeGraph
 from .isets import classify_bitstring, count_isets
 
@@ -33,19 +34,20 @@ class SpamModel:
 
 @dataclass(frozen=True, eq=False)
 class ShotHistogram:
-    """Bitstring counts from one sampling batch.
+    """Outcome counts of one sampling batch.
 
-    p_mis / p_mis_minus_1 are filled when the graph was supplied at
-    sampling time; histogram_report recomputes them in any case.
+    configs holds the distinct measured configurations as an ascending
+    int64 array and counts their int64 counts.  p_mis is filled when the
+    graph was supplied at sampling time.
     """
 
-    counts: dict[str, int]
+    configs: np.ndarray
+    counts: np.ndarray
     n_shots: int
     n_atoms: int
     seed: int
     spam: SpamModel | None = None
     p_mis: float | None = None
-    p_mis_minus_1: float | None = None
 
 
 def sample_shots(
@@ -59,11 +61,10 @@ def sample_shots(
 
     Deterministic for a fixed seed (PCG64).  With a SpamModel, each bit
     is flipped independently through the asymmetric readout channel.
+    With a graph, p_mis is read off its ``histogram_report``.
     """
     if n_shots < 1:
         raise ValueError(f"need at least one shot, got {n_shots}")
-    if graph is not None and graph.n != state.basis.n:
-        raise ValueError("graph size does not match histogram bitstring length")
     amps = np.asarray(state.amplitudes)
     probs = np.abs(amps) ** 2
     total = probs.sum()
@@ -78,25 +79,10 @@ def sample_shots(
     if spam is not None:
         u = rng.random(rydberg.shape)
         rydberg ^= np.where(rydberg, u < spam.p_g_given_r, u < spam.p_r_given_g)
-    observed = occupancy_to_configs(rydberg)
-    outcomes, cnts = np.unique(observed, return_counts=True)
-    counts = dict(zip(configs_to_bits(outcomes, n), cnts.tolist()))
-
-    p_mis = p_mis_1 = None
-    if graph is not None:
-        c = classify_bitstring(graph, outcomes, count_isets(graph))
-        p_mis = int(cnts[c["is_mis"]].sum()) / n_shots
-        p_mis_1 = int(cnts[c["is_mis_minus_1"]].sum()) / n_shots
-
-    return ShotHistogram(
-        counts=counts,
-        n_shots=n_shots,
-        n_atoms=n,
-        seed=seed,
-        spam=spam,
-        p_mis=p_mis,
-        p_mis_minus_1=p_mis_1,
-    )
+    configs, counts = np.unique(occupancy_to_configs(rydberg), return_counts=True)
+    hist = ShotHistogram(configs=configs, counts=counts, n_shots=n_shots, n_atoms=n,
+                         seed=seed, spam=spam)
+    return hist if graph is None else replace(hist, p_mis=histogram_report(hist, graph)["p_mis"])
 
 
 def histogram_report(h: ShotHistogram, g: BlockadeGraph) -> dict:
@@ -108,9 +94,7 @@ def histogram_report(h: ShotHistogram, g: BlockadeGraph) -> dict:
     if g.n != h.n_atoms:
         raise ValueError("graph size does not match histogram bitstring length")
     stats = count_isets(g)
-    bits = list(h.counts)
-    configs = bits_to_configs(bits, g.n)
-    cnts = np.fromiter(h.counts.values(), dtype=np.int64, count=len(bits))
+    configs, cnts = h.configs, h.counts
     c = classify_bitstring(g, configs, stats)
     classes = {
         "mis": c["is_mis"],
@@ -124,10 +108,9 @@ def histogram_report(h: ShotHistogram, g: BlockadeGraph) -> dict:
         # by falling probability, then by bitstring, which is ascending config
         idx = np.flatnonzero(classes[k])
         idx = idx[np.lexsort((configs[idx], -cnts[idx]))]
-        bars[k] = [
-            {"bits": bits[i], "probability": p}
-            for i, p in zip(idx.tolist(), (cnts[idx] / h.n_shots).tolist())
-        ]
+        bits = configs_to_bits(configs[idx], g.n)
+        probs = (cnts[idx] / h.n_shots).tolist()
+        bars[k] = [{"bits": b, "probability": p} for b, p in zip(bits, probs)]
     return {
         "n_shots": h.n_shots,
         "seed": h.seed,

@@ -120,14 +120,6 @@ class PulseSchedule:
         return cls(ramp_time, total_time, omega0, t, np.column_stack((slopes, v[:-1])), kind)
 
     @property
-    def delta_i(self) -> float:
-        return self.delta(0.0)
-
-    @property
-    def delta_f(self) -> float:
-        return self.delta(self.total_time)
-
-    @property
     def sweep_window(self) -> tuple[float, float]:
         return self.ramp_time, self.total_time - self.ramp_time
 
@@ -379,6 +371,6 @@ def fit_eta_polynomials(sched: PulseSchedule, t_min: float) -> EtaPolynomials:
         return tuple(float(c) for c in coeffs)
 
     return EtaPolynomials(
-        a_coeffs=fit_piece((times >= t_r) & (times < t_min), t_r, sched.delta_i),
+        a_coeffs=fit_piece((times >= t_r) & (times < t_min), t_r, sched.delta(0.0)),
         b_coeffs=fit_piece((times >= t_min) & (times <= t_hi), t_min, d_min),
     )

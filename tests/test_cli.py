@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 
 import rydmis.isets
 from rydmis import PulseSchedule, fit_eta_polynomials
-from rydmis.cli import main, verify_manifest
+from rydmis.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -25,13 +26,20 @@ def pipeline_dir(tmp_path_factory):
     return out
 
 
+def _hashes_hold(out_dir: Path) -> bool:
+    """Every artifact hash that a pipeline manifest records matches its file."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    return all(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest
+               for name, digest in manifest["hashes"].items())
+
+
 def _sample(state_path, out_path) -> int:
     return main(["sample", "--state", str(state_path), "--shots", "100", "--spam",
                  "--seed", "3", "--instance", "Q1D_4", "--out", str(out_path)])
 
 
 def test_pipeline_writes_a_verifiable_manifest(pipeline_dir):
-    assert verify_manifest(pipeline_dir)
+    assert _hashes_hold(pipeline_dir)
     manifest = json.loads((pipeline_dir / "manifest.json").read_text())
     assert set(manifest["runs"][0]["artifacts"]) == {
         "gap_csv", "schedule_json", "evolution_csv", "state_json", "histogram_json"}
@@ -154,6 +162,26 @@ def test_isets_prints_the_census(capsys):
     assert list(map(int, out["r"])) == list(range(out["mis_size"] + 1))
 
 
+def test_a_path_named_like_a_builtin_does_not_hide_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "Q1D_4").mkdir()  # as `pipeline --out-dir Q1D_4` leaves behind
+    (tmp_path / "Q1D_10").write_text("{}")
+    for name, n in (("Q1D_4", 4), ("Q1D_10", 10)):
+        assert main(["isets", "--instance", name]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == n
+
+
+@pytest.mark.parametrize("missing", ["name", "positions_um"])
+def test_instance_file_without_a_field_exits_1(tmp_path, capsys, missing):
+    data = {"name": "pair", "positions_um": [[0, 0], [8, 0]]}
+    del data[missing]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data))
+    assert main(["isets", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"no {missing!r} field" in err
+
+
 def test_isets_above_the_guard_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(rydmis.isets, "BLOCKADE_BASIS_MAX_STATES", 13_321)
     assert main(["isets", "--instance", "TD_25"]) == 1
@@ -233,7 +261,7 @@ def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path):
         out = tmp_path / f"jobs{jobs}"
         assert main(["pipeline", "--config", str(config), "--jobs", jobs,
                      "--out-dir", str(out)]) == 0
-        assert verify_manifest(out)
+        assert _hashes_hold(out)
         assert sorted(p.name for p in out.glob("gap*.csv")) == ["gap.csv"]
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert manifests[0] == manifests[1]

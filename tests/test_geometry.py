@@ -46,7 +46,7 @@ def test_unknown_instance_rejected():
 
 
 def test_kpxp_chain_matches_published_table_as_multiset():
-    gen = generate_kpxp_chain(10, 8.0)
+    gen = generate_kpxp_chain(10)
     table = builtin_instance("Q1D_10")
     unmatched = list(table.positions)
     for p in gen.positions:
@@ -59,16 +59,14 @@ def test_kpxp_chain_matches_published_table_as_multiset():
 def test_kpxp_chain_spine_indices():
     # the chain walk puts the middle-row spine at atoms 1, 4, 7, ...
     for n in (4, 7, 10):
-        arr = generate_kpxp_chain(n, 8.0)
+        arr = generate_kpxp_chain(n)
         ys = [y for _, y in arr.positions]
         assert all(ys[i] == 4.0 for i in range(0, n, 3))
 
 
 def test_kpxp_chain_preconditions():
     with pytest.raises(ValueError):
-        generate_kpxp_chain(1, 8.0)
-    with pytest.raises(ValueError):
-        generate_kpxp_chain(5, 0.0)
+        generate_kpxp_chain(1)
 
 
 def test_blockade_radius_value(params):
@@ -81,7 +79,7 @@ def test_interaction_strength_published_value(params):
     g = blockade_graph(builtin_instance("Q1D_10"), params)
     assert to_mhz(g.u_per_edge) == pytest.approx(3.29, abs=0.01)
     # ideal-lattice chain gives exactly C6 / 8^6
-    g2 = blockade_graph(generate_kpxp_chain(10, 8.0), params)
+    g2 = blockade_graph(generate_kpxp_chain(10), params)
     assert g2.u_per_edge == pytest.approx(params.c6 / 8.0**6, rel=1e-12)
 
 

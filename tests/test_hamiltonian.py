@@ -117,7 +117,7 @@ def test_full_basis_size_q1d10(params):
 
 
 def test_dimension_guard():
-    g = BlockadeGraph(n=25, edges=frozenset(), r_b=1.0, u_per_edge=0.0)
+    g = BlockadeGraph(n=25, edges=frozenset(), u_per_edge=0.0)
     with pytest.raises(DimensionLimitError):
         build_basis(g, "full")
 
@@ -310,7 +310,7 @@ def test_full_vs_blockade_ground_energy_deep_blockade(params):
     scaled_shift = {}
     for scale in (1e4, 1e5, 1e6):
         big = BlockadeGraph(
-            n=g.n, edges=g.edges, r_b=g.r_b, u_per_edge=g.u_per_edge * scale,
+            n=g.n, edges=g.edges, u_per_edge=g.u_per_edge * scale,
             positions=g.positions, c6=g.c6,
         )
         h_full = hamiltonian_terms(big, build_basis(big, "full"), interaction="constant")
@@ -335,7 +335,7 @@ def test_full_vs_blockade_ground_energy_deep_blockade(params):
 
 
 def test_tails_mode_requires_geometry():
-    g = BlockadeGraph(n=3, edges=frozenset({(0, 1)}), r_b=9.0, u_per_edge=1.0)
+    g = BlockadeGraph(n=3, edges=frozenset({(0, 1)}), u_per_edge=1.0)
     with pytest.raises(ValueError, match="geometry"):
         hamiltonian_terms(g, build_basis(g, "full"), interaction="tails")
     with pytest.raises(ValueError, match="interaction mode"):

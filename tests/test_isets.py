@@ -106,28 +106,25 @@ def test_adding_edge_never_increases_counts(params):
         if not non_edges:
             continue
         extra = non_edges[int(rng.integers(len(non_edges)))]
-        g2 = BlockadeGraph(
-            n=n, edges=g.edges | {extra}, r_b=g.r_b, u_per_edge=g.u_per_edge
-        )
+        g2 = BlockadeGraph(n=n, edges=g.edges | {extra}, u_per_edge=g.u_per_edge)
         r1, r2 = count_isets(g).r, count_isets(g2).r
         for k, v in r2.items():
             assert v <= r1.get(k, 0)
 
 
 def test_classify_bitstrings_on_n7_chain(params):
-    g = blockade_graph(generate_kpxp_chain(7, 8.0), params)
+    g = blockade_graph(generate_kpxp_chain(7), params)
     stats = count_isets(g)
     c = classify_bitstring(g, bits_to_configs(["1001001", "0000000", "1100000"], g.n), stats)
     assert {k: v.tolist() for k, v in c.items()} == {
         "is_independent": [True, True, False],
-        "size": [3, 0, 2],
         "is_mis": [True, False, False],
         "is_mis_minus_1": [False, False, False],
     }
 
 
 def test_n7_mis_is_rggrggr(params):
-    g = blockade_graph(generate_kpxp_chain(7, 8.0), params)
+    g = blockade_graph(generate_kpxp_chain(7), params)
     assert mis_projector_support(g) == ("1001001",)
 
 
@@ -165,7 +162,7 @@ def test_mis_retention_cap(params):
 
 
 def test_classify_array_matches_each_bitstring(params):
-    g = blockade_graph(generate_kpxp_chain(7, 8.0), params)
+    g = blockade_graph(generate_kpxp_chain(7), params)
     stats = count_isets(g)
     configs = np.arange(1 << g.n)
     arrays = classify_bitstring(g, configs, stats)

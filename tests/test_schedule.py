@@ -93,8 +93,8 @@ def test_adglb_waypoint_and_endpoints(params, q1d10_profile):
         assert float(sched.delta(q1d10_profile.t_min)) == pytest.approx(
             q1d10_profile.delta_min, abs=1e-9
         )
-        assert sched.delta_i == pytest.approx(params.delta_i)
-        assert sched.delta_f == pytest.approx(params.delta_f)
+        assert float(sched.delta(0.0)) == pytest.approx(params.delta_i)
+        assert float(sched.delta(params.total_time)) == pytest.approx(params.delta_f)
         assert float(sched.delta(0.1)) == pytest.approx(params.delta_i)
         assert float(sched.delta(4.9)) == pytest.approx(params.delta_f)
         # Rabi trapezoid untouched

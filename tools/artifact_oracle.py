@@ -54,6 +54,10 @@ COMMANDS = [
                          "--n-output", "20", "--out", "{out}/evolve_constant.csv"]),
     ("gap", ["gap", "--instance", "TD_25", "--basis", "blockade", "--samples", "60",
              "--out", "{out}/gap.csv"]),
+    ("isets", ["isets", "--instance", "TD_25"]),
+    ("design", ["design", "--instance", "Q1D_7", "--method", "adglb",
+                "--out", "{out}/design.json"]),
+    ("export-ahs", ["export-ahs", "--schedule", "transfer", "--out", "{out}/ahs.json"]),
 ]
 MAIN = "import sys; from rydmis.cli import main; sys.exit(main())"
 IMPORT_CHECK = "import rydmis; print(rydmis.__file__)"
