@@ -8,6 +8,8 @@ once, on first use, so a ``pipeline`` over a ``j_grid`` scans the gap
 once (``gap.csv``) and its ``--jobs`` workers receive the scanned Run.
 
 Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
+The global ``-v`` writes the ``rydmis`` loggers' DEBUG lines (solver and
+evolution costs) to stderr; stdout does not change.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -569,6 +572,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rydmis", description="Blockade-graph MIS preparation toolkit")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log solver and evolution costs to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
     base = RunConfig()
     for name, (func, helptext, flags) in SUBCOMMANDS.items():
@@ -598,11 +603,19 @@ def _config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("rydmis")
+    level, handler = log.level, logging.StreamHandler(sys.stderr)
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
         return args.func(Run(_config(args)), args)
     except (RydmisError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -28,10 +28,17 @@ The ground population at each output time comes from
 warm-started from w0 + w1 of the previous output time's solve, and the
 MIS overlap sums the populations of the census's ``mis_configs``.  A run
 is reported only after halving the step cap reproduces the final
-ground-state population to the convergence tolerance; its cost (steps,
-Krylov exponentials, and the matvecs of the stepping and the projections,
-read from the terms' counter) and that check's delta go to one DEBUG line
-of this module's logger.
+ground-state population to the convergence tolerance.  The two runs are
+independent, so they run at the same time in two processes: ``evolve``
+forks one child (the fork start method, so the terms and their caches
+are shared, not pickled) for the check's run and makes the main run
+itself.  The child sends back its final population, counts (with its
+matvecs and wall time) and peak RSS, or its exception.  The cost of each run (steps, Krylov
+exponentials, and the matvecs of the stepping and the projections, read
+from the terms' counter), the child's peak RSS and the check's delta go
+to one DEBUG line of this module's logger.  The child's memory is not in
+this process's ``ru_maxrss``, so a benchmark's ``peak_rss_mb`` leaves it
+out.
 
 The two-level reduction needs <E1| dH/dt |E0>, and dH/dt is
 omega' sx + delta' zdiag, read off the same cached terms.
@@ -40,6 +47,9 @@ omega' sx + delta' zdiag, read off the same cached terms.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+import resource
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -48,7 +58,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .configs import bits_to_configs, configs_to_bits
-from .errors import ConvergenceError
+from .errors import ConvergenceError, RydmisError
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble
 from .isets import count_isets
 from .krylov import expm_lanczos
@@ -215,6 +225,72 @@ def _ground_projection(
     return float(abs(np.vdot(v0, psi)) ** 2), v0 + v1
 
 
+def _run(
+    h: HamiltonianTerms,
+    sched: PulseSchedule,
+    mis_positions: np.ndarray,
+    n_output: int,
+    local_tol: float,
+    max_step: float,
+    counts: Counter,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One evolution from the all-ground state at n_output evenly spaced times.
+
+    Returns (times, final psi, p_e0, p_mis) and adds its steps, Krylov
+    exponentials, matvecs and wall seconds to ``counts``.
+    """
+    exp_tol = local_tol / 10.0
+    matvecs, t0 = h.matvecs, time.perf_counter()
+
+    def at(t: float) -> tuple[float, float]:
+        return float(sched.omega(t)), float(sched.delta(t))
+
+    def expm(omega: float, delta: float, tau: float, psi: np.ndarray) -> np.ndarray:
+        counts["exponentials"] += 1
+        return expm_lanczos(partial(h.matvec, omega, delta), psi, tau, exp_tol)
+
+    times = np.linspace(0.0, sched.total_time, n_output)
+    psi = np.zeros(h.dim, dtype=complex)
+    psi[h.basis.position_of(0)] = 1.0
+    p_e0, p_mis = np.empty((2, times.size))
+    warm = None  # w0 + w1 at the previous output time
+    states = _step_doubling(partial(_cf4_step, at, expm), psi, times, sched.knots, local_tol,
+                            max_step, MIN_STEP, counts)
+    for i, psi in enumerate(states):
+        try:
+            p_e0[i], warm = _ground_projection(h, *at(times[i]), psi, warm)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"ground projection at t = {times[i]:.6f} us: {exc}") from exc
+        p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
+    counts["matvecs"] += h.matvecs - matvecs
+    counts["seconds"] += time.perf_counter() - t0
+    return times, psi, p_e0, p_mis
+
+
+def _cost(counts: Counter) -> str:
+    return (f"{counts['accepted']} accepted and {counts['rejected']} rejected steps, "
+            f"{counts['exponentials']} Krylov exponentials, {counts['matvecs']} matvecs, "
+            f"{counts['seconds']:.3f} s")
+
+
+def _check_run(conn, h: HamiltonianTerms, sched: PulseSchedule, local_tol: float) -> None:
+    """The convergence check's run, in the forked child: sends one reply on ``conn``.
+
+    The reply is (final p_e0, counts, ru_maxrss in KiB), or the exception
+    the run raised.
+    """
+    try:
+        counts: Counter = Counter()
+        p_e0 = _run(h, sched, np.empty(0, dtype=np.int64), 2, local_tol / 4.0,
+                    MAX_STEP / 2.0, counts)[2]
+        reply = (float(p_e0[-1]), counts, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    except Exception as exc:  # the parent re-raises it
+        reply = exc
+    conn.send(reply)
+    conn.close()
+
+
 def evolve(
     h: HamiltonianTerms,
     sched: PulseSchedule,
@@ -226,54 +302,51 @@ def evolve(
     eigenvector at each output time (onto the degenerate ground space
     where eigenvalues coincide within the degeneracy tolerance, which is
     the generic situation at t = T when the MIS is degenerate).
+
+    The convergence check's run goes to one child process, started with
+    the fork start method, while this process makes the main run.
     """
     if opts is None:
         opts = EvolveOptions()
-    pos0 = h.basis.position_of(0)
-    if pos0 < 0:
+    if h.basis.position_of(0) < 0:
         raise ValueError("basis does not contain the all-ground configuration")
 
     mis_positions = h.basis.position_of(count_isets(h.graph).mis_configs)
     mis_positions = mis_positions[mis_positions >= 0]
 
-    t_end, knots = sched.total_time, sched.knots
+    _ = h._sx_data_complex  # built before the fork, so the child shares it
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_check_run, args=(send, h, sched, opts.local_tol))
+    child.start()
+    send.close()  # the child's copy is then the only one: its exit gives EOFError
     counts: Counter = Counter()
-    matvecs = h.matvecs
+    try:
+        times, psi, p_e0, p_mis = _run(h, sched, mis_positions, opts.n_output, opts.local_tol,
+                                       MAX_STEP, counts)
+        reply = recv.recv()
+    except EOFError:
+        child.join()
+        raise RydmisError(f"the convergence-check process exited with code "
+                          f"{child.exitcode} before it replied") from None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        child.close()
+        recv.close()
+    if isinstance(reply, BaseException):
+        raise reply
+    check_p_e0, check_counts, check_rss = reply
 
-    def at(t: float) -> tuple[float, float]:
-        return float(sched.omega(t)), float(sched.delta(t))
-
-    def run(n_output: int, local_tol: float, max_step: float):
-        exp_tol = local_tol / 10.0
-
-        def expm(omega: float, delta: float, tau: float, psi: np.ndarray) -> np.ndarray:
-            counts["exponentials"] += 1
-            return expm_lanczos(partial(h.matvec, omega, delta), psi, tau, exp_tol)
-
-        times = np.linspace(0.0, t_end, n_output)
-        psi = np.zeros(h.dim, dtype=complex)
-        psi[pos0] = 1.0
-        p_e0, p_mis = np.empty((2, times.size))
-        warm = None  # w0 + w1 at the previous output time
-        states = _step_doubling(partial(_cf4_step, at, expm), psi, times, knots, local_tol,
-                                max_step, MIN_STEP, counts)
-        for i, psi in enumerate(states):
-            try:
-                p_e0[i], warm = _ground_projection(h, *at(times[i]), psi, warm)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"ground projection at t = {times[i]:.6f} us: {exc}") from exc
-            p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
-        return times, psi, p_e0, p_mis
-
-    times, psi, p_e0, p_mis = run(opts.n_output, opts.local_tol, MAX_STEP)
     final_p_e0 = float(p_e0[-1])
-    check_delta = abs(run(2, opts.local_tol / 4.0, MAX_STEP / 2.0)[2][-1] - final_p_e0)
+    check_delta = abs(check_p_e0 - final_p_e0)
     logger.debug(
-        "evolve dim %d, %d knots, 2 runs: %d accepted and %d rejected steps, "
-        "%d Krylov exponentials, %d matvecs, convergence-check delta %.3e",
-        h.dim, knots.size, counts["accepted"], counts["rejected"],
-        counts["exponentials"], h.matvecs - matvecs, check_delta,
+        "evolve dim %d, %d knots: main run %s; check run (child process, peak RSS %.1f MiB) "
+        "%s; convergence-check delta %.3e",
+        h.dim, sched.knots.size, _cost(counts), check_rss / 1024.0, _cost(check_counts),
+        check_delta,
     )
     if check_delta >= opts.convergence_tol:
         raise ConvergenceError(

@@ -125,13 +125,17 @@ class AtomArray:
 
     @classmethod
     def from_json(cls, data: dict) -> "AtomArray":
+        if not isinstance(data, dict):
+            raise ValueError("instance JSON must be an object with 'name' and 'positions_um'")
         missing = [key for key in ("name", "positions_um") if key not in data]
         if missing:
             raise ValueError(f"instance JSON has no {missing[0]!r} field")
-        return cls(
-            name=str(data["name"]),
-            positions=tuple((float(x), float(y)) for x, y in data["positions_um"]),
-        )
+        try:
+            positions = tuple((float(x), float(y)) for x, y in data["positions_um"])
+        except (TypeError, ValueError):
+            raise ValueError("instance JSON field 'positions_um' must be a list of "
+                             "[x, y] number pairs") from None
+        return cls(name=str(data["name"]), positions=positions)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import logging
+import multiprocessing
 import os
 import random
 import subprocess
@@ -182,6 +184,36 @@ def test_instance_file_without_a_field_exits_1(tmp_path, capsys, missing):
     assert err.startswith("error:") and f"no {missing!r} field" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("5", "must be an object"),
+    ('{"name": "x", "positions_um": 7}', "'positions_um'"),
+    ('{"name": "x", "positions_um": [[0, 0, 0]]}', "'positions_um'"),
+    ('{"name": "x", "positions_um": [[0, null], [8, 0]]}', "'positions_um'"),
+], ids=["number", "positions_number", "position_triple", "position_null"])
+def test_instance_file_of_the_wrong_type_exits_1(tmp_path, capsys, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--instance", str(path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
+def test_verbose_logs_costs_to_stderr_only(tmp_path, capsys):
+    argv = ["evolve", "--instance", "Q1D_4", "--n-output", "3"]
+    assert main([*argv, "--out", str(tmp_path / "quiet.csv")]) == 0
+    quiet = capsys.readouterr()
+    assert main(["-v", *argv, "--out", str(tmp_path / "loud.csv")]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out.replace("quiet.csv", "loud.csv")
+    assert (tmp_path / "loud.csv").read_text() == (tmp_path / "quiet.csv").read_text()
+    assert "evolve dim 16" in loud.err and "convergence-check delta" in loud.err
+    assert "evolve dim" not in quiet.err
+    log = logging.getLogger("rydmis")
+    assert log.level == logging.NOTSET and not log.handlers
+
+
 def test_isets_above_the_guard_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(rydmis.isets, "BLOCKADE_BASIS_MAX_STATES", 13_321)
     assert main(["isets", "--instance", "TD_25"]) == 1
@@ -269,6 +301,8 @@ def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path):
     assert [r["tag"] for r in runs] == ["_j1", "_j2"]
     assert all(r["artifacts"]["gap_csv"] == "gap.csv" for r in runs)
     assert runs[0]["final_p_e0"] != runs[1]["final_p_e0"]
+    # each pool worker's evolve forked its own convergence-check process
+    assert multiprocessing.active_children() == []
 
 
 def test_config_values_are_read_as_their_field_types(tmp_path, capsys):

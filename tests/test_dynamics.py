@@ -1,4 +1,9 @@
 import logging
+import multiprocessing
+import os
+import re
+import signal
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from rydmis import (
     EvolveOptions,
     HamiltonianTerms,
     PulseSchedule,
+    RydmisError,
     TwoLevelModel,
     blockade_graph,
     build_basis,
@@ -92,6 +98,13 @@ def test_transfer_sweep_matches_dense_midpoint_oracle(params):
     assert res.final_p_e0 == pytest.approx(oracle, abs=1e-6)
 
 
+def _check_settings_run(h, sched, opts, counts=None):
+    """evolve's convergence-check run, made in this process."""
+    dyn = rydmis.dynamics
+    return dyn._run(h, sched, np.empty(0, dtype=np.int64), 2, opts.local_tol / 4.0,
+                    dyn.MAX_STEP / 2.0, Counter() if counts is None else counts)
+
+
 def test_no_trial_step_straddles_a_knot(params, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
@@ -107,12 +120,19 @@ def test_no_trial_step_straddles_a_knot(params, monkeypatch):
         return cf4_step(*args)
 
     monkeypatch.setattr(rydmis.dynamics, "_cf4_step", spy)
-    evolve(h, sched, EvolveOptions(n_output=7))
-    t, dt = np.array(steps).T
-    assert t.size > 1000
+    opts = EvolveOptions(n_output=7)
+    evolve(h, sched, opts)
+    main_steps = steps[:]
+    # the check run's trial steps are taken in a child process: repeat it here
+    steps.clear()
+    _check_settings_run(h, sched, opts)
     knots = _knots(sched)
-    inside = (knots > t[:, None] + 1e-12) & (knots < (t + dt)[:, None] - 1e-12)
-    assert not inside.any(), f"{inside.any(axis=1).sum()} of {t.size} trial steps straddle a knot"
+    for run in (main_steps, steps):
+        t, dt = np.array(run).T
+        assert t.size > 1000
+        inside = (knots > t[:, None] + 1e-12) & (knots < (t + dt)[:, None] - 1e-12)
+        assert not inside.any(), \
+            f"{inside.any(axis=1).sum()} of {t.size} trial steps straddle a knot"
 
 
 def test_no_two_level_trial_step_straddles_a_knot(monkeypatch):
@@ -166,13 +186,20 @@ def test_evolve_logs_its_cost(params, caplog, monkeypatch):
         return matvec(self, *args)
 
     monkeypatch.setattr(HamiltonianTerms, "matvec", spy)
+    opts = EvolveOptions(n_output=3)
     with caplog.at_level(logging.DEBUG, logger="rydmis.dynamics"):
-        evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
+        evolve(h, standard_schedule(params), opts)
     (line,) = [r.getMessage() for r in caplog.records if r.name == "rydmis.dynamics"]
-    for word in ("accepted", "rejected", "Krylov exponentials", "convergence-check delta"):
-        assert word in line
-    assert f" {len(matvecs)} matvecs" in line
-    assert "not run" not in line
+    runs = re.findall(r"(\d+) accepted and (\d+) rejected steps, (\d+) Krylov exponentials, "
+                      r"(\d+) matvecs, [0-9.]+ s", line)
+    assert len(runs) == 2 and "convergence-check delta" in line
+    assert re.search(r"peak RSS [0-9.]+ MiB", line)
+    # the spy sees only this process's matvecs: the main run's
+    assert int(runs[0][3]) == len(matvecs)
+    counts = Counter()
+    _check_settings_run(h, standard_schedule(params), opts, counts)
+    check = (counts["accepted"], counts["rejected"], counts["exponentials"], counts["matvecs"])
+    assert tuple(map(int, runs[1])) == check
 
 
 def test_every_projection_starts_from_the_pair_before_it(params, monkeypatch):
@@ -219,6 +246,51 @@ def test_failed_projection_names_its_time(params, monkeypatch):
     monkeypatch.setattr(krylov, "MAX_MATVECS", 5)
     with pytest.raises(ConvergenceError, match="ground projection at t = "):
         evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
+    assert multiprocessing.active_children() == []
+
+
+def _fail_the_check_run(monkeypatch, fail):
+    """Make ``_run`` call ``fail()`` in the convergence check's run only."""
+    run = rydmis.dynamics._run
+
+    def only_main(h, sched, mis_positions, n_output, local_tol, max_step, counts):
+        if max_step < rydmis.dynamics.MAX_STEP:
+            fail()
+        return run(h, sched, mis_positions, n_output, local_tol, max_step, counts)
+
+    monkeypatch.setattr(rydmis.dynamics, "_run", only_main)
+
+
+def test_a_failed_check_run_reaches_the_caller(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+
+    def fail():
+        raise ConvergenceError("the check run failed on purpose")
+
+    _fail_the_check_run(monkeypatch, fail)
+    with pytest.raises(ConvergenceError, match="the check run failed on purpose"):
+        evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_check_process_that_dies_raises_instead_of_hanging(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    _fail_the_check_run(monkeypatch, lambda: os._exit(3))
+
+    def hung(signum, frame):
+        raise TimeoutError("evolve still waits for a child that has exited")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RydmisError, match="exited with code 3"):
+            evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,
