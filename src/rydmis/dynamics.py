@@ -29,16 +29,22 @@ warm-started from w0 + w1 of the previous output time's solve, and the
 MIS overlap sums the populations of the census's ``mis_configs``.  A run
 is reported only after halving the step cap reproduces the final
 ground-state population to the convergence tolerance.  The two runs are
-independent, so they run at the same time in two processes: ``evolve``
-forks one child (the fork start method, so the terms and their caches
-are shared, not pickled) for the check's run and makes the main run
-itself.  The child sends back its final population, counts (with its
-matvecs and wall time) and peak RSS, or its exception.  The cost of each run (steps, Krylov
-exponentials, and the matvecs of the stepping and the projections, read
-from the terms' counter), the child's peak RSS and the check's delta go
-to one DEBUG line of this module's logger.  The child's memory is not in
-this process's ``ru_maxrss``, so a benchmark's ``peak_rss_mb`` leaves it
-out.
+independent.  Where each can have a core of its own (``_check_in_child``:
+this process runs one thread, so BLAS runs on one, it is not a pool's
+worker, and two CPUs or more are usable) they run at the same time in
+two processes: ``evolve`` forks one child (the fork start method, so the
+terms and their caches are shared, not pickled) for the check's run and
+makes the main run itself.  The child sends back its final population,
+counts (with its matvecs and wall time) and peak RSS, or its exception.
+Elsewhere the check's run follows the main run in this process: a
+multi-threaded BLAS in two processes on the same cores makes the pair
+slower than one process.  The results are the same bits either way.
+The cost of each run (steps, Krylov exponentials, and the matvecs of the
+stepping and the projections, read from the terms' counter), where the
+check ran, the child's peak RSS and the check's delta go to one DEBUG
+line of this module's logger.  A forked child's memory is not in this
+process's ``ru_maxrss``, and its matvecs are not in this process's
+counter.
 
 The two-level reduction needs <E1| dH/dt |E0>, and dH/dt is
 omega' sx + delta' zdiag, read off the same cached terms.
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import resource
 import time
 from collections import Counter
@@ -274,56 +281,65 @@ def _cost(counts: Counter) -> str:
             f"{counts['seconds']:.3f} s")
 
 
-def _check_run(conn, h: HamiltonianTerms, sched: PulseSchedule, local_tol: float) -> None:
-    """The convergence check's run, in the forked child: sends one reply on ``conn``.
+def _check_run(h: HamiltonianTerms, sched: PulseSchedule,
+               local_tol: float) -> tuple[float, Counter]:
+    """The convergence check's run: its final p_e0 and its counts."""
+    counts: Counter = Counter()
+    p_e0 = _run(h, sched, np.empty(0, dtype=np.int64), 2, local_tol / 4.0, MAX_STEP / 2.0,
+                counts)[2]
+    return float(p_e0[-1]), counts
 
-    The reply is (final p_e0, counts, ru_maxrss in KiB), or the exception
-    the run raised.
+
+def _check_in_child() -> bool:
+    """Whether ``evolve`` makes the check's run in a forked child.
+
+    Only where each run gets a core of its own: this process runs one
+    thread, it is not itself a worker process (a pool's workers already
+    fill the cores), and at least two CPUs are usable.  A multi-threaded
+    BLAS starts its worker threads when it loads, so one thread also
+    means BLAS on one thread: two processes whose BLAS waits on workers
+    that the other run keeps off the cores make the pair slower than
+    running it serially.  With one thread at the fork, no lock can be
+    held by a thread the child does not have, so the child cannot
+    deadlock on one and leave ``evolve`` waiting for its reply.
     """
     try:
-        counts: Counter = Counter()
-        p_e0 = _run(h, sched, np.empty(0, dtype=np.int64), 2, local_tol / 4.0,
-                    MAX_STEP / 2.0, counts)[2]
-        reply = (float(p_e0[-1]), counts, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no procfs: the thread count is unknown
+        return False
+    return (threads == 1 and multiprocessing.parent_process() is None
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _reply(conn, h: HamiltonianTerms, sched: PulseSchedule, local_tol: float) -> None:
+    """The forked child's work: sends ``_check_run``'s result and ru_maxrss (KiB)
+    on ``conn``, or the exception it raised."""
+    try:
+        reply = (*_check_run(h, sched, local_tol),
+                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     except Exception as exc:  # the parent re-raises it
         reply = exc
     conn.send(reply)
     conn.close()
 
 
-def evolve(
-    h: HamiltonianTerms,
-    sched: PulseSchedule,
-    opts: EvolveOptions | None = None,
-) -> EvolutionResult:
-    """Integrate i d|psi>/dt = H(t)|psi> from the all-ground state.
+def _beside_check_run(main: Callable[[], tuple], h: HamiltonianTerms, sched: PulseSchedule,
+                      local_tol: float) -> tuple[tuple, tuple[float, Counter, int]]:
+    """main() in this process while a forked child makes the check's run.
 
-    Ground population is the projection onto the instantaneous ground
-    eigenvector at each output time (onto the degenerate ground space
-    where eigenvalues coincide within the degeneracy tolerance, which is
-    the generic situation at t = T when the MIS is degenerate).
-
-    The convergence check's run goes to one child process, started with
-    the fork start method, while this process makes the main run.
+    Returns main's result and the child's reply.  A child that exits
+    without replying raises RydmisError; one whose run raised has its
+    exception re-raised here.  The child is always joined, and
+    terminated first when main() raises.
     """
-    if opts is None:
-        opts = EvolveOptions()
-    if h.basis.position_of(0) < 0:
-        raise ValueError("basis does not contain the all-ground configuration")
-
-    mis_positions = h.basis.position_of(count_isets(h.graph).mis_configs)
-    mis_positions = mis_positions[mis_positions >= 0]
-
-    _ = h._sx_data_complex  # built before the fork, so the child shares it
+    h.build_caches()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_check_run, args=(send, h, sched, opts.local_tol))
+    child = ctx.Process(target=_reply, args=(send, h, sched, local_tol))
     child.start()
     send.close()  # the child's copy is then the only one: its exit gives EOFError
-    counts: Counter = Counter()
     try:
-        times, psi, p_e0, p_mis = _run(h, sched, mis_positions, opts.n_output, opts.local_tol,
-                                       MAX_STEP, counts)
+        result = main()
         reply = recv.recv()
     except EOFError:
         child.join()
@@ -338,15 +354,51 @@ def evolve(
         recv.close()
     if isinstance(reply, BaseException):
         raise reply
-    check_p_e0, check_counts, check_rss = reply
+    return result, reply
+
+
+def evolve(
+    h: HamiltonianTerms,
+    sched: PulseSchedule,
+    opts: EvolveOptions | None = None,
+) -> EvolutionResult:
+    """Integrate i d|psi>/dt = H(t)|psi> from the all-ground state.
+
+    Ground population is the projection onto the instantaneous ground
+    eigenvector at each output time (onto the degenerate ground space
+    where eigenvalues coincide within the degeneracy tolerance, which is
+    the generic situation at t = T when the MIS is degenerate).
+
+    Where ``_check_in_child`` allows it, the convergence check's run goes
+    to one child process, started with the fork start method, while this
+    process makes the main run; elsewhere the check's run follows the
+    main run here.
+    """
+    if opts is None:
+        opts = EvolveOptions()
+    if h.basis.position_of(0) < 0:
+        raise ValueError("basis does not contain the all-ground configuration")
+
+    mis_positions = h.basis.position_of(count_isets(h.graph).mis_configs)
+    mis_positions = mis_positions[mis_positions >= 0]
+
+    counts: Counter = Counter()
+    main = partial(_run, h, sched, mis_positions, opts.n_output, opts.local_tol, MAX_STEP,
+                   counts)
+    if _check_in_child():
+        (times, psi, p_e0, p_mis), (check_p_e0, check_counts, check_rss) = \
+            _beside_check_run(main, h, sched, opts.local_tol)
+        check_where = f"child process, peak RSS {check_rss / 1024.0:.1f} MiB"
+    else:
+        times, psi, p_e0, p_mis = main()
+        check_p_e0, check_counts = _check_run(h, sched, opts.local_tol)
+        check_where = "this process"
 
     final_p_e0 = float(p_e0[-1])
     check_delta = abs(check_p_e0 - final_p_e0)
     logger.debug(
-        "evolve dim %d, %d knots: main run %s; check run (child process, peak RSS %.1f MiB) "
-        "%s; convergence-check delta %.3e",
-        h.dim, sched.knots.size, _cost(counts), check_rss / 1024.0, _cost(check_counts),
-        check_delta,
+        "evolve dim %d, %d knots: main run %s; check run (%s) %s; convergence-check delta %.3e",
+        h.dim, sched.knots.size, _cost(counts), check_where, _cost(check_counts), check_delta,
     )
     if check_delta >= opts.convergence_tol:
         raise ConvergenceError(

@@ -117,6 +117,14 @@ class HamiltonianTerms:
         # csr_matvec would otherwise upcast sx.data on every complex call
         return self.sx.data.astype(complex)
 
+    def build_caches(self) -> None:
+        """Build now what the terms would build on first use.
+
+        Processes forked afterwards then share it instead of each
+        building its own copy.
+        """
+        _ = self._sx_data_complex
+
     def matvec(self, omega: float, delta: float, psi: np.ndarray) -> np.ndarray:
         """H(omega, delta) psi as a new array.
 

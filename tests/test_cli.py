@@ -301,7 +301,7 @@ def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path):
     assert [r["tag"] for r in runs] == ["_j1", "_j2"]
     assert all(r["artifacts"]["gap_csv"] == "gap.csv" for r in runs)
     assert runs[0]["final_p_e0"] != runs[1]["final_p_e0"]
-    # each pool worker's evolve forked its own convergence-check process
+    # the pool's workers, and any process they started, are gone
     assert multiprocessing.active_children() == []
 
 

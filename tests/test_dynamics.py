@@ -3,7 +3,8 @@ import multiprocessing
 import os
 import re
 import signal
-from collections import Counter
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,13 +99,6 @@ def test_transfer_sweep_matches_dense_midpoint_oracle(params):
     assert res.final_p_e0 == pytest.approx(oracle, abs=1e-6)
 
 
-def _check_settings_run(h, sched, opts, counts=None):
-    """evolve's convergence-check run, made in this process."""
-    dyn = rydmis.dynamics
-    return dyn._run(h, sched, np.empty(0, dtype=np.int64), 2, opts.local_tol / 4.0,
-                    dyn.MAX_STEP / 2.0, Counter() if counts is None else counts)
-
-
 def test_no_trial_step_straddles_a_knot(params, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
@@ -123,9 +117,9 @@ def test_no_trial_step_straddles_a_knot(params, monkeypatch):
     opts = EvolveOptions(n_output=7)
     evolve(h, sched, opts)
     main_steps = steps[:]
-    # the check run's trial steps are taken in a child process: repeat it here
+    # the check run's trial steps may be taken in a child process: repeat it here
     steps.clear()
-    _check_settings_run(h, sched, opts)
+    rydmis.dynamics._check_run(h, sched, opts.local_tol)
     knots = _knots(sched)
     for run in (main_steps, steps):
         t, dt = np.array(run).T
@@ -178,6 +172,9 @@ def test_evolve_options_reject_unusable_tolerances(field, value):
 def test_evolve_logs_its_cost(params, caplog, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
+    sched, opts = standard_schedule(params), EvolveOptions(n_output=3)
+    _, counts = rydmis.dynamics._check_run(h, sched, opts.local_tol)
+    check = (counts["accepted"], counts["rejected"], counts["exponentials"], counts["matvecs"])
     matvecs = []
     matvec = HamiltonianTerms.matvec
 
@@ -186,20 +183,25 @@ def test_evolve_logs_its_cost(params, caplog, monkeypatch):
         return matvec(self, *args)
 
     monkeypatch.setattr(HamiltonianTerms, "matvec", spy)
-    opts = EvolveOptions(n_output=3)
-    with caplog.at_level(logging.DEBUG, logger="rydmis.dynamics"):
-        evolve(h, standard_schedule(params), opts)
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "rydmis.dynamics"]
-    runs = re.findall(r"(\d+) accepted and (\d+) rejected steps, (\d+) Krylov exponentials, "
-                      r"(\d+) matvecs, [0-9.]+ s", line)
-    assert len(runs) == 2 and "convergence-check delta" in line
-    assert re.search(r"peak RSS [0-9.]+ MiB", line)
-    # the spy sees only this process's matvecs: the main run's
-    assert int(runs[0][3]) == len(matvecs)
-    counts = Counter()
-    _check_settings_run(h, standard_schedule(params), opts, counts)
-    check = (counts["accepted"], counts["rejected"], counts["exponentials"], counts["matvecs"])
-    assert tuple(map(int, runs[1])) == check
+    for in_child in (False, True):
+        monkeypatch.setattr(rydmis.dynamics, "_check_in_child", lambda: in_child)
+        matvecs.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rydmis.dynamics"):
+            evolve(h, sched, opts)
+        assert multiprocessing.active_children() == []
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "rydmis.dynamics"]
+        runs = re.findall(r"(\d+) accepted and (\d+) rejected steps, (\d+) Krylov "
+                          r"exponentials, (\d+) matvecs, [0-9.]+ s", line)
+        assert len(runs) == 2 and "convergence-check delta" in line
+        assert tuple(map(int, runs[1])) == check
+        # the spy sees this process's matvecs: the check run's too unless a child made it
+        if in_child:
+            assert re.search(r"check run \(child process, peak RSS [0-9.]+ MiB\)", line)
+            assert int(runs[0][3]) == len(matvecs)
+        else:
+            assert "check run (this process)" in line
+            assert int(runs[0][3]) + check[3] == len(matvecs)
 
 
 def test_every_projection_starts_from_the_pair_before_it(params, monkeypatch):
@@ -244,21 +246,20 @@ def test_failed_projection_names_its_time(params, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
     monkeypatch.setattr(krylov, "MAX_MATVECS", 5)
-    with pytest.raises(ConvergenceError, match="ground projection at t = "):
-        evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
-    assert multiprocessing.active_children() == []
+    for in_child in (False, True):
+        monkeypatch.setattr(rydmis.dynamics, "_check_in_child", lambda: in_child)
+        with pytest.raises(ConvergenceError, match="ground projection at t = "):
+            evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
+        assert multiprocessing.active_children() == []
 
 
-def _fail_the_check_run(monkeypatch, fail):
-    """Make ``_run`` call ``fail()`` in the convergence check's run only."""
-    run = rydmis.dynamics._run
+def _check_run_in_child_that(monkeypatch, fail):
+    """Make evolve fork its check run, and make that run call ``fail()``."""
+    def check_run(h, sched, local_tol):
+        fail()
 
-    def only_main(h, sched, mis_positions, n_output, local_tol, max_step, counts):
-        if max_step < rydmis.dynamics.MAX_STEP:
-            fail()
-        return run(h, sched, mis_positions, n_output, local_tol, max_step, counts)
-
-    monkeypatch.setattr(rydmis.dynamics, "_run", only_main)
+    monkeypatch.setattr(rydmis.dynamics, "_check_in_child", lambda: True)
+    monkeypatch.setattr(rydmis.dynamics, "_check_run", check_run)
 
 
 def test_a_failed_check_run_reaches_the_caller(params, monkeypatch):
@@ -268,7 +269,7 @@ def test_a_failed_check_run_reaches_the_caller(params, monkeypatch):
     def fail():
         raise ConvergenceError("the check run failed on purpose")
 
-    _fail_the_check_run(monkeypatch, fail)
+    _check_run_in_child_that(monkeypatch, fail)
     with pytest.raises(ConvergenceError, match="the check run failed on purpose"):
         evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
     assert multiprocessing.active_children() == []
@@ -277,7 +278,7 @@ def test_a_failed_check_run_reaches_the_caller(params, monkeypatch):
 def test_a_check_process_that_dies_raises_instead_of_hanging(params, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
-    _fail_the_check_run(monkeypatch, lambda: os._exit(3))
+    _check_run_in_child_that(monkeypatch, lambda: os._exit(3))
 
     def hung(signum, frame):
         raise TimeoutError("evolve still waits for a child that has exited")
@@ -291,6 +292,33 @@ def test_a_check_process_that_dies_raises_instead_of_hanging(params, monkeypatch
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
+
+
+_WHERE_THE_CHECK_RUNS = """
+import concurrent.futures, multiprocessing, threading
+import rydmis.dynamics as dyn
+print(dyn._check_in_child())
+stop = threading.Event()
+other = threading.Thread(target=stop.wait)
+other.start()
+print(dyn._check_in_child())
+stop.set()
+other.join()
+fork = multiprocessing.get_context("fork")
+with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
+    print(pool.submit(dyn._check_in_child).result())
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_check_runs_in_a_child_only_where_each_run_has_a_core(blas_threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", _WHERE_THE_CHECK_RUNS], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    alone = blas_threads == "1" and len(os.sched_getaffinity(0)) >= 2
+    # BLAS worker threads, another thread, or a pool's worker process: no fork
+    assert out == [str(alone), "False", "False"]
 
 
 @pytest.mark.xfail(strict=True, raises=ConvergenceError,
