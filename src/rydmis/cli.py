@@ -5,7 +5,7 @@ gap scan along the standard sweep, ADGLB or transfer detuning,
 evolution, shots) and is the only home of its defaults; a subcommand's
 flags are generated from the fields it takes.  ``Run`` builds each stage
 once, on first use, so a ``pipeline`` over a ``j_grid`` scans the gap
-once (``gap.csv``) and its ``--jobs`` workers receive the scanned Run.
+once (``gap.csv``) and evolves its schedules through ``evolve_all``.
 
 Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
 The global ``-v`` writes the ``rydmis`` loggers' DEBUG lines (solver and
@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -33,7 +32,7 @@ from .dynamics import (
     EvolveOptions,
     QuantumState,
     build_two_level_model,
-    evolve,
+    evolve_all,
     evolve_two_level,
 )
 from .errors import RydmisError
@@ -101,6 +100,8 @@ class RunConfig:
         # checked here, so a config that cannot finish fails before its first stage
         if self.shots < 1:
             raise ValueError(f"shots = {self.shots}: a run needs at least one shot")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: a seed must be a non-negative integer")
         EvolveOptions(n_output=self.n_output)  # raises for fewer than 2 output times
         if self.j_grid and self.method != "adglb":
             raise ValueError(f"j_grid lists ADGLB exponents; method {self.method!r} runs none")
@@ -149,8 +150,7 @@ class Run:
     """The chain of one RunConfig, each stage built once, on first use.
 
     ``graph`` must encode an MIS; ``profile`` is the gap scan along the
-    standard sweep that ADGLB schedules are shaped from.  A Run pickles
-    with every stage it has built, so worker processes reuse them.
+    standard sweep that ADGLB schedules are shaped from.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -189,8 +189,8 @@ class Run:
             return transfer_schedule(self.params, from_mhz(self.cfg.nu_d_mhz))
         return PulseSchedule.load(method)
 
-    def evolve(self, sched: PulseSchedule) -> EvolutionResult:
-        return evolve(self.terms, sched, EvolveOptions(n_output=self.cfg.n_output))
+    def evolve(self, *scheds: PulseSchedule) -> list[EvolutionResult]:
+        return evolve_all(self.terms, scheds, EvolveOptions(n_output=self.cfg.n_output))
 
 
 # ------------------------------------------------------------------ artifacts
@@ -258,7 +258,7 @@ def cmd_design(run: Run, args) -> int:
 
 
 def cmd_evolve(run: Run, args) -> int:
-    res = run.evolve(run.schedule())
+    (res,) = run.evolve(run.schedule())
     _write_csv(Path(args.out), _evolution_columns(res))
     if args.state_out:
         _write_json(args.state_out, res.final_state.to_json(), indent=None)
@@ -319,15 +319,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _pipeline_run(job: tuple) -> dict:
-    """Evolution, final state and shots for one exponent j and its schedule."""
-    run, out_dir, tag, j, sched = job
+def _pipeline_run(run, out_dir, tag, j, sched, res) -> dict:
+    """The files and manifest entry of exponent j's schedule and evolution result."""
     cfg = run.cfg
     artifacts = {"gap_csv": "gap.csv"} if cfg.method == "adglb" else {}
     artifacts.update(schedule_json=f"schedule{tag}.json", evolution_csv=f"evolution{tag}.csv",
                      state_json=f"state{tag}.json", histogram_json=f"histogram{tag}.json")
     sched.save(out_dir / artifacts["schedule_json"])
-    res = run.evolve(sched)
     _write_csv(out_dir / artifacts["evolution_csv"], _evolution_columns(res))
     _write_json(out_dir / artifacts["state_json"], res.final_state.to_json(), indent=None)
     spam = SpamModel() if cfg.spam else None
@@ -346,19 +344,16 @@ def _pipeline_run(job: tuple) -> dict:
 
 def cmd_pipeline(run: Run, args) -> int:
     cfg, out_dir = run.cfg, Path(args.out_dir)
-    # graph, schedules and terms reject a bad setting before anything is written
+    # graph, schedules and evolutions reject a bad setting before anything is written
     stats = count_isets(run.graph)
     js = cfg.j_grid or [cfg.j]
-    jobs = [(run, out_dir, f"_j{j:g}" if len(js) > 1 else "", j, run.schedule(j)) for j in js]
-    run.terms
+    scheds = [run.schedule(j) for j in js]
+    results = run.evolve(*scheds)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.method == "adglb":
         _write_csv(out_dir / "gap.csv", _gap_columns(run.profile))
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(_pipeline_run, jobs))
-    else:
-        runs = [_pipeline_run(job) for job in jobs]
+    runs = [_pipeline_run(run, out_dir, f"_j{j:g}" if len(js) > 1 else "", j, sched, res)
+            for j, sched, res in zip(js, scheds, results)]
 
     manifest = {
         "config": asdict(cfg),
@@ -390,7 +385,7 @@ def _reproduce_fig1cd(out_dir: Path) -> list[tuple]:
     sched = standard_schedule(run.params)
     profile = run.profile
     _write_csv(out_dir / "fig1c_gap.csv", _gap_columns(profile))
-    res = run.evolve(sched)
+    (res,) = run.evolve(sched)
     columns = _evolution_columns(res)
     del columns["mis_overlap"]
     _write_csv(out_dir / "fig1d_population.csv", columns)
@@ -489,8 +484,8 @@ def _reproduce_fig3a(out_dir: Path) -> list[tuple]:
 
 def _reproduce_fig3b(out_dir: Path) -> list[tuple]:
     run = Run(RunConfig(instance="Q1D_10"))
-    runs = {"standard": run.evolve(standard_schedule(run.params)),
-            **{f"adglb_j{j:g}": run.evolve(run.schedule(j)) for j in ADGLB_JS}}
+    runs = dict(zip(["standard", *(f"adglb_j{j:g}" for j in ADGLB_JS)],
+                    run.evolve(standard_schedule(run.params), *map(run.schedule, ADGLB_JS))))
     _write_csv(out_dir / "fig3b_populations.csv", {
         "t_us": (F6, runs["standard"].times), **{n: (F8, r.p_e0) for n, r in runs.items()}})
     final = {n: r.final_p_e0 for n, r in runs.items()}
@@ -551,7 +546,7 @@ SUBCOMMANDS = {
     # a flag left out keeps the --config file's value
     "pipeline": (cmd_pipeline, "instance -> gap -> schedule -> evolution -> histogram, "
                  "with manifest", {
-                     "--config": {}, "--out-dir": REQUIRED, "--jobs": {"type": int, "default": 1},
+                     "--config": {}, "--out-dir": REQUIRED,
                      **dict.fromkeys(("instance", "method", "j", "nu_d_mhz", "samples", "shots",
                                       "seed", "spam", "basis", "interaction"),
                                      {"default": argparse.SUPPRESS})}),

@@ -29,16 +29,16 @@ warm-started from w0 + w1 of the previous output time's solve, and the
 MIS overlap sums the populations of the census's ``mis_configs``.  A run
 is reported only after halving the step cap reproduces the final
 ground-state population to the convergence tolerance.  The two runs are
-independent.  Where each can have a core of its own (``_check_in_child``:
-this process runs one thread, so BLAS runs on one, it is not a pool's
-worker, and two CPUs or more are usable) they run at the same time in
-two processes: ``evolve`` forks one child (the fork start method, so the
-terms and their caches are shared, not pickled) for the check's run and
-makes the main run itself.  The child sends back its final population,
-counts (with its matvecs and wall time) and peak RSS, or its exception.
-Elsewhere the check's run follows the main run in this process: a
-multi-threaded BLAS in two processes on the same cores makes the pair
-slower than one process.  The results are the same bits either way.
+independent.  One rule, ``_may_fork``, decides every fork: this process
+runs one thread, so BLAS runs on one, it is not a pool's worker, and two
+CPUs or more are usable.  There ``evolve`` forks one child (the fork
+start method, so the terms and their caches are shared, not pickled) for
+the check's run and makes the main run itself; the child sends back its
+final population, counts (with its matvecs and wall time) and peak RSS,
+or its exception.  There ``evolve_all`` also maps several drives over a
+forked pool, whose workers make their check runs in-process.  Elsewhere
+all runs are serial: a multi-threaded BLAS in two processes on the same
+cores makes the pair slower than one process.  The bits are the same.
 The cost of each run (steps, Krylov exponentials, and the matvecs of the
 stepping and the projections, read from the terms' counter), where the
 check ran, the child's peak RSS and the check's delta go to one DEBUG
@@ -58,9 +58,10 @@ import os
 import resource
 import time
 from collections import Counter
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -290,8 +291,8 @@ def _check_run(h: HamiltonianTerms, sched: PulseSchedule,
     return float(p_e0[-1]), counts
 
 
-def _check_in_child() -> bool:
-    """Whether ``evolve`` makes the check's run in a forked child.
+def _may_fork() -> bool:
+    """Whether ``evolve`` forks its check's run and ``evolve_all`` a pool.
 
     Only where each run gets a core of its own: this process runs one
     thread, it is not itself a worker process (a pool's workers already
@@ -369,7 +370,7 @@ def evolve(
     where eigenvalues coincide within the degeneracy tolerance, which is
     the generic situation at t = T when the MIS is degenerate).
 
-    Where ``_check_in_child`` allows it, the convergence check's run goes
+    Where ``_may_fork`` allows it, the convergence check's run goes
     to one child process, started with the fork start method, while this
     process makes the main run; elsewhere the check's run follows the
     main run here.
@@ -385,7 +386,7 @@ def evolve(
     counts: Counter = Counter()
     main = partial(_run, h, sched, mis_positions, opts.n_output, opts.local_tol, MAX_STEP,
                    counts)
-    if _check_in_child():
+    if _may_fork():
         (times, psi, p_e0, p_mis), (check_p_e0, check_counts, check_rss) = \
             _beside_check_run(main, h, sched, opts.local_tol)
         check_where = f"child process, peak RSS {check_rss / 1024.0:.1f} MiB"
@@ -414,6 +415,20 @@ def evolve(
         final_p_e0=final_p_e0,
         final_p_mis=float(p_mis[-1]),
     )
+
+
+def evolve_all(h: HamiltonianTerms, scheds: Sequence[PulseSchedule],
+               opts: EvolveOptions | None = None) -> list[EvolutionResult]:
+    """``[evolve(h, s, opts) for s in scheds]``, over a forked pool where ``_may_fork``
+    allows it and there are two drives or more, with at most one worker per usable CPU."""
+    if len(scheds) < 2 or not _may_fork():
+        return [evolve(h, s, opts) for s in scheds]
+    try:
+        with ProcessPoolExecutor(min(len(scheds), len(os.sched_getaffinity(0))),
+                                 multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(partial(evolve, h, opts=opts), scheds))
+    except BrokenExecutor:
+        raise RydmisError("an evolution's worker process exited before it replied") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rydmis.dynamics
 import rydmis.isets
 from rydmis import PulseSchedule, fit_eta_polynomials
 from rydmis.cli import main
@@ -284,15 +285,17 @@ def test_eta_fit_reads_the_pipeline_gap_and_schedule(tmp_path):
     assert fit_eta_polynomials(sched, t_min) == fit_eta_polynomials(sched, knot)
 
 
-def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path):
+def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"instance": "Q1D_4", "method": "adglb", "j_grid": [1.0, 2.0],
                                   "samples": 20, "n_output": 5, "shots": 20}))
     manifests = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["pipeline", "--config", str(config), "--jobs", jobs,
-                     "--out-dir", str(out)]) == 0
+    # both sides of the fork rule: serial, and a pool whose workers keep the real rule
+    for fork in (False, True):
+        monkeypatch.setattr(rydmis.dynamics, "_may_fork",
+                            lambda: fork and multiprocessing.parent_process() is None)
+        out = tmp_path / ("pool" if fork else "serial")
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 0
         assert _hashes_hold(out)
         assert sorted(p.name for p in out.glob("gap*.csv")) == ["gap.csv"]
         manifests.append(json.loads((out / "manifest.json").read_text()))
@@ -331,6 +334,7 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
 
 @pytest.mark.parametrize("config, flags, field", [
     ({}, ["--shots", "0"], "shots"),
+    ({}, ["--seed", "-1"], "seed"),
     ({"n_output": 1}, [], "n_output"),
     ({}, ["--j", "-1"], "j > 0"),
     ({}, ["--samples", "5"], "n_samples"),
@@ -343,8 +347,8 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
     ({"method": "adglb", "j_grid": [1.0, 1.0], "n_output": 5, "shots": 20, "samples": 20}, [],
      "j_grid lists two exponents with the run tag _j1"),
     ({"j_grid": [1.0, 1.0000001]}, [], "j_grid lists two exponents with the run tag _j1"),
-], ids=["shots_flag", "n_output_config", "negative_j", "few_samples", "transfer_nu_d",
-        "unknown_instance", "basis_config", "basis_config_std", "j_grid_std",
+], ids=["shots_flag", "negative_seed", "n_output_config", "negative_j", "few_samples",
+        "transfer_nu_d", "unknown_instance", "basis_config", "basis_config_std", "j_grid_std",
         "j_grid_transfer_flag", "j_grid_same_tag", "j_grid_tag_collision"])
 def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, flags, field):
     path = tmp_path / "config.json"
@@ -395,7 +399,8 @@ def test_subcommand_help_exits_0(command):
     ["gap", "--instance", "Q1D_4", "--basis", "bogus", "--out", "x.csv"],
     ["gap", "--out", "x.csv"],
     ["gap", "--instance", "Q1D_4", "--out", "x.csv", "--bogus"],
-], ids=["bad_choice", "missing_required", "unknown_flag"])
+    ["pipeline", "--jobs", "2", "--instance", "Q1D_4", "--out-dir", "x.csv"],
+], ids=["bad_choice", "missing_required", "unknown_flag", "pipeline_jobs"])
 def test_usage_error_exits_1(tmp_path, argv):
     # exit 2 is kept for a missed reproduction target
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))

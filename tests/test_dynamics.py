@@ -17,6 +17,7 @@ from rydmis import (
     PulseSchedule,
     RydmisError,
     TwoLevelModel,
+    adglb_schedule,
     blockade_graph,
     build_basis,
     builtin_instance,
@@ -24,6 +25,7 @@ from rydmis import (
     evolve_two_level,
     hamiltonian_terms,
     krylov,
+    scan_gap,
     standard_schedule,
     transfer_schedule,
 )
@@ -184,7 +186,7 @@ def test_evolve_logs_its_cost(params, caplog, monkeypatch):
 
     monkeypatch.setattr(HamiltonianTerms, "matvec", spy)
     for in_child in (False, True):
-        monkeypatch.setattr(rydmis.dynamics, "_check_in_child", lambda: in_child)
+        monkeypatch.setattr(rydmis.dynamics, "_may_fork", lambda: in_child)
         matvecs.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="rydmis.dynamics"):
@@ -247,7 +249,7 @@ def test_failed_projection_names_its_time(params, monkeypatch):
     h = hamiltonian_terms(g, build_basis(g, "full"))
     monkeypatch.setattr(krylov, "MAX_MATVECS", 5)
     for in_child in (False, True):
-        monkeypatch.setattr(rydmis.dynamics, "_check_in_child", lambda: in_child)
+        monkeypatch.setattr(rydmis.dynamics, "_may_fork", lambda: in_child)
         with pytest.raises(ConvergenceError, match="ground projection at t = "):
             evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
         assert multiprocessing.active_children() == []
@@ -258,7 +260,7 @@ def _check_run_in_child_that(monkeypatch, fail):
     def check_run(h, sched, local_tol):
         fail()
 
-    monkeypatch.setattr(rydmis.dynamics, "_check_in_child", lambda: True)
+    monkeypatch.setattr(rydmis.dynamics, "_may_fork", lambda: True)
     monkeypatch.setattr(rydmis.dynamics, "_check_run", check_run)
 
 
@@ -294,19 +296,78 @@ def test_a_check_process_that_dies_raises_instead_of_hanging(params, monkeypatch
     assert multiprocessing.active_children() == []
 
 
+def _q1d4_drives(params):
+    """Q1D_4 terms and four drives: the standard sweep and three ADGLB exponents."""
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    profile = scan_gap(h, standard_schedule(params), n_samples=20)
+    return h, [standard_schedule(params), *(adglb_schedule(params, profile, j)
+                                            for j in (1.0, 1.5, 2.0))]
+
+
+def _fork_here_only(monkeypatch):
+    """Force the fork rule to True in this process; in a pool's workers it stays False."""
+    monkeypatch.setattr(rydmis.dynamics, "_may_fork",
+                        lambda: multiprocessing.parent_process() is None)
+
+
+def test_evolve_all_over_a_pool_matches_serial_evolve(params, monkeypatch):
+    h, scheds = _q1d4_drives(params)
+    opts = EvolveOptions(n_output=5)
+    serial = [evolve(h, sched, opts) for sched in scheds]
+    _fork_here_only(monkeypatch)
+    matvecs = h.matvecs
+    pooled = rydmis.dynamics.evolve_all(h, scheds, opts)
+    assert h.matvecs == matvecs  # every evolution ran in a worker
+    assert multiprocessing.active_children() == []
+    assert len(pooled) == len(scheds)
+    for a, b in zip(serial, pooled):
+        assert a.final_p_e0 == b.final_p_e0
+        assert np.array_equal(a.p_e0, b.p_e0)
+        assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+
+
+def test_a_failed_worker_evolution_reaches_the_caller(params, monkeypatch):
+    h, scheds = _q1d4_drives(params)
+    monkeypatch.setattr(krylov, "MAX_MATVECS", 5)
+    _fork_here_only(monkeypatch)
+    with pytest.raises(ConvergenceError, match="ground projection at t = "):
+        rydmis.dynamics.evolve_all(h, scheds, EvolveOptions(n_output=3))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_instead_of_hanging(params, monkeypatch):
+    h, scheds = _q1d4_drives(params)
+    _fork_here_only(monkeypatch)
+    monkeypatch.setattr(rydmis.dynamics, "_run", lambda *args: os._exit(3))
+
+    def hung(signum, frame):
+        raise TimeoutError("evolve_all still waits for a worker that has exited")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RydmisError, match="worker process exited"):
+            rydmis.dynamics.evolve_all(h, scheds, EvolveOptions(n_output=3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
 _WHERE_THE_CHECK_RUNS = """
 import concurrent.futures, multiprocessing, threading
 import rydmis.dynamics as dyn
-print(dyn._check_in_child())
+print(dyn._may_fork())
 stop = threading.Event()
 other = threading.Thread(target=stop.wait)
 other.start()
-print(dyn._check_in_child())
+print(dyn._may_fork())
 stop.set()
 other.join()
 fork = multiprocessing.get_context("fork")
 with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
-    print(pool.submit(dyn._check_in_child).result())
+    print(pool.submit(dyn._may_fork).result())
 """
 
 

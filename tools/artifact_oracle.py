@@ -3,9 +3,9 @@
 Usage: python tools/artifact_oracle.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold the ``rydmis`` package (a
-checkout's ``src``).  Each side runs the CLI invocations of ``COMMANDS``
-into its own temporary directory, with BLAS on one thread; the two sides
-run at the same time.  Then:
+checkout's ``src``).  Each side writes ``J_GRID_CONFIG`` into its own
+temporary directory and runs the CLI invocations of ``COMMANDS`` there,
+with BLAS on one thread; the two sides run at the same time.  Then:
 
 - exit codes must be equal;
 - stdout must be byte-identical once the output directory is replaced by
@@ -37,6 +37,9 @@ from pathlib import Path
 
 JSON_RTOL = 1e-9
 PLACEHOLDER = "<out>"
+# the pipeline config of the j-grid command, written as {out}/j_grid.json
+J_GRID_CONFIG = {"instance": "Q1D_7", "method": "adglb", "j_grid": [1, 2], "n_output": 20,
+                 "shots": 100}
 
 # (name, CLI arguments); "{out}" is the side's output directory
 COMMANDS = [
@@ -44,6 +47,8 @@ COMMANDS = [
       for fig in ("fig1cd", "fig2", "fig3a", "fig3b", "fig6a")],
     ("pipeline", ["pipeline", "--instance", "Q1D_7", "--method", "adglb", "--spam",
                   "--out-dir", "{out}/pipeline"]),
+    ("pipeline j_grid", ["pipeline", "--config", "{out}/j_grid.json",
+                         "--out-dir", "{out}/pipeline_j_grid"]),
     ("sample", ["sample", "--instance", "Q1D_7", "--spam", "--seed", "3", "--shots", "300",
                 "--state", "{out}/pipeline/state.json", "--out", "{out}/sample.json"]),
     ("twolevel", ["twolevel", "--instance", "Q1D_10", "--out", "{out}/twolevel.csv"]),
@@ -77,6 +82,8 @@ def run_side(src: Path, out: Path) -> list[tuple[int, str]]:
                            capture_output=True, check=True).stdout.strip()
     if not Path(found).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"{src}: rydmis imports from {found}, not from this tree")
+    out.mkdir(parents=True)
+    (out / "j_grid.json").write_text(json.dumps(J_GRID_CONFIG))
     results = []
     for _, args in COMMANDS:
         argv = [a.replace("{out}", str(out)) for a in args]
