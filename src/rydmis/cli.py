@@ -51,7 +51,7 @@ from .hamiltonian import HamiltonianTerms, build_basis, hamiltonian_terms
 from .isets import count_isets, mis_projector_support
 from .measurement import SpamModel, histogram_report, sample_shots
 from .schedule import PulseSchedule, adglb_schedule, standard_schedule, transfer_schedule
-from .spectrum import GapProfile, scan_gap, track_mis_overlap
+from .spectrum import MIN_SAMPLES, GapProfile, scan_gap, track_mis_overlap
 
 ADGLB_JS = (1.0, 1.5, 1.8, 2.0)  # the ADGLB exponents of figs. 3a and 3b
 PAPER_P_E0 = {"standard": 0.739, "adglb_j1": 0.955, "adglb_j1.5": 0.981, "adglb_j1.8": 0.963,
@@ -102,6 +102,9 @@ class RunConfig:
             raise ValueError(f"shots = {self.shots}: a run needs at least one shot")
         if self.seed < 0:
             raise ValueError(f"seed = {self.seed}: a seed must be a non-negative integer")
+        if self.samples < MIN_SAMPLES:
+            raise ValueError(f"samples = {self.samples}: a gap scan needs "
+                             f"n_samples >= {MIN_SAMPLES}")
         EvolveOptions(n_output=self.n_output)  # raises for fewer than 2 output times
         if self.j_grid and self.method != "adglb":
             raise ValueError(f"j_grid lists ADGLB exponents; method {self.method!r} runs none")

@@ -29,22 +29,13 @@ warm-started from w0 + w1 of the previous output time's solve, and the
 MIS overlap sums the populations of the census's ``mis_configs``.  A run
 is reported only after halving the step cap reproduces the final
 ground-state population to the convergence tolerance.  The two runs are
-independent.  One rule, ``_may_fork``, decides every fork: this process
-runs one thread, so BLAS runs on one, it is not a pool's worker, and two
-CPUs or more are usable.  There ``evolve`` forks one child (the fork
-start method, so the terms and their caches are shared, not pickled) for
-the check's run and makes the main run itself; the child sends back its
-final population, counts (with its matvecs and wall time) and peak RSS,
-or its exception.  There ``evolve_all`` also maps several drives over a
-forked pool, whose workers make their check runs in-process.  Elsewhere
-all runs are serial: a multi-threaded BLAS in two processes on the same
-cores makes the pair slower than one process.  The bits are the same.
-The cost of each run (steps, Krylov exponentials, and the matvecs of the
-stepping and the projections, read from the terms' counter), where the
-check ran, the child's peak RSS and the check's delta go to one DEBUG
-line of this module's logger.  A forked child's memory is not in this
-process's ``ru_maxrss``, and its matvecs are not in this process's
-counter.
+independent, so ``forks.beside`` may make the check's run in a forked
+child while this process makes the main run, and ``evolve_all`` maps
+several drives over ``forks.pool_map``.  The cost of each run (steps,
+Krylov exponentials, and the matvecs of the stepping and the
+projections, read from the terms' counter), where the check ran, the
+child's peak RSS and the check's delta go to one DEBUG line of this
+module's logger.
 
 The two-level reduction needs <E1| dH/dt |E0>, and dH/dt is
 omega' sx + delta' zdiag, read off the same cached terms.
@@ -53,20 +44,17 @@ omega' sx + delta' zdiag, read off the same cached terms.
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
-import resource
 import time
 from collections import Counter
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import forks
 from .configs import bits_to_configs, configs_to_bits
-from .errors import ConvergenceError, RydmisError
+from .errors import ConvergenceError
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble
 from .isets import count_isets
 from .krylov import expm_lanczos
@@ -291,73 +279,6 @@ def _check_run(h: HamiltonianTerms, sched: PulseSchedule,
     return float(p_e0[-1]), counts
 
 
-def _may_fork() -> bool:
-    """Whether ``evolve`` forks its check's run and ``evolve_all`` a pool.
-
-    Only where each run gets a core of its own: this process runs one
-    thread, it is not itself a worker process (a pool's workers already
-    fill the cores), and at least two CPUs are usable.  A multi-threaded
-    BLAS starts its worker threads when it loads, so one thread also
-    means BLAS on one thread: two processes whose BLAS waits on workers
-    that the other run keeps off the cores make the pair slower than
-    running it serially.  With one thread at the fork, no lock can be
-    held by a thread the child does not have, so the child cannot
-    deadlock on one and leave ``evolve`` waiting for its reply.
-    """
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:  # no procfs: the thread count is unknown
-        return False
-    return (threads == 1 and multiprocessing.parent_process() is None
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-def _reply(conn, h: HamiltonianTerms, sched: PulseSchedule, local_tol: float) -> None:
-    """The forked child's work: sends ``_check_run``'s result and ru_maxrss (KiB)
-    on ``conn``, or the exception it raised."""
-    try:
-        reply = (*_check_run(h, sched, local_tol),
-                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    except Exception as exc:  # the parent re-raises it
-        reply = exc
-    conn.send(reply)
-    conn.close()
-
-
-def _beside_check_run(main: Callable[[], tuple], h: HamiltonianTerms, sched: PulseSchedule,
-                      local_tol: float) -> tuple[tuple, tuple[float, Counter, int]]:
-    """main() in this process while a forked child makes the check's run.
-
-    Returns main's result and the child's reply.  A child that exits
-    without replying raises RydmisError; one whose run raised has its
-    exception re-raised here.  The child is always joined, and
-    terminated first when main() raises.
-    """
-    h.build_caches()
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_reply, args=(send, h, sched, local_tol))
-    child.start()
-    send.close()  # the child's copy is then the only one: its exit gives EOFError
-    try:
-        result = main()
-        reply = recv.recv()
-    except EOFError:
-        child.join()
-        raise RydmisError(f"the convergence-check process exited with code "
-                          f"{child.exitcode} before it replied") from None
-    except BaseException:
-        child.terminate()
-        raise
-    finally:
-        child.join()
-        child.close()
-        recv.close()
-    if isinstance(reply, BaseException):
-        raise reply
-    return result, reply
-
-
 def evolve(
     h: HamiltonianTerms,
     sched: PulseSchedule,
@@ -370,10 +291,9 @@ def evolve(
     where eigenvalues coincide within the degeneracy tolerance, which is
     the generic situation at t = T when the MIS is degenerate).
 
-    Where ``_may_fork`` allows it, the convergence check's run goes
-    to one child process, started with the fork start method, while this
-    process makes the main run; elsewhere the check's run follows the
-    main run here.
+    The convergence check's run goes to ``forks.beside``: to a forked
+    child while this process makes the main run where the fork rule
+    allows it, and after the main run here elsewhere.
     """
     if opts is None:
         opts = EvolveOptions()
@@ -386,14 +306,9 @@ def evolve(
     counts: Counter = Counter()
     main = partial(_run, h, sched, mis_positions, opts.n_output, opts.local_tol, MAX_STEP,
                    counts)
-    if _may_fork():
-        (times, psi, p_e0, p_mis), (check_p_e0, check_counts, check_rss) = \
-            _beside_check_run(main, h, sched, opts.local_tol)
-        check_where = f"child process, peak RSS {check_rss / 1024.0:.1f} MiB"
-    else:
-        times, psi, p_e0, p_mis = main()
-        check_p_e0, check_counts = _check_run(h, sched, opts.local_tol)
-        check_where = "this process"
+    h.build_caches()  # a forked check run then shares them
+    (times, psi, p_e0, p_mis), (check_p_e0, check_counts), check_where = \
+        forks.beside(main, partial(_check_run, h, sched, opts.local_tol))
 
     final_p_e0 = float(p_e0[-1])
     check_delta = abs(check_p_e0 - final_p_e0)
@@ -419,16 +334,9 @@ def evolve(
 
 def evolve_all(h: HamiltonianTerms, scheds: Sequence[PulseSchedule],
                opts: EvolveOptions | None = None) -> list[EvolutionResult]:
-    """``[evolve(h, s, opts) for s in scheds]``, over a forked pool where ``_may_fork``
-    allows it and there are two drives or more, with at most one worker per usable CPU."""
-    if len(scheds) < 2 or not _may_fork():
-        return [evolve(h, s, opts) for s in scheds]
-    try:
-        with ProcessPoolExecutor(min(len(scheds), len(os.sched_getaffinity(0))),
-                                 multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(partial(evolve, h, opts=opts), scheds))
-    except BrokenExecutor:
-        raise RydmisError("an evolution's worker process exited before it replied") from None
+    """``[evolve(h, s, opts) for s in scheds]``, over ``forks.pool_map``'s forked pool
+    where the fork rule allows it."""
+    return forks.pool_map(partial(evolve, h, opts=opts), scheds)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,12 +5,20 @@ operator of ``hamiltonian.assemble``: at omega = 0 H is diagonal and its
 diagonal is sorted exactly; otherwise the thick-restart Lanczos of
 ``krylov.lowest_eigenpairs`` runs on ``HamiltonianTerms.matvec``.
 scan_gap samples the sweep window uniformly and golden-section-refines
-the gap minimum below the sample resolution; each solve warm-starts from
-w0 + w1 of the solve before it (the first probe, of the smallest sampled
-gap).  The refined point is inserted into the profile so downstream
-consumers (schedule synthesis, two-level reduction) see the true
-minimum.  Its cost (samples, probes, matvecs, wall time) goes to one
-DEBUG line of this module's logger.
+the gap minimum below the sample resolution.  The samples form two
+warm-start chains fixed by sample index, the even samples and the odd
+ones: each chain's first solve starts cold and every later one from
+w0 + w1 of the previous sample in its own chain.  ``forks.beside`` runs
+the odd chain in a forked child while this process runs the even one,
+where the fork rule allows it, and after the even one here elsewhere;
+the profile is the same bit for bit.  The golden-section probes then
+run here, the first from w0 + w1 of the smallest sampled gap (the
+lowest index on ties) and each later one from the probe before it.  The
+refined point is inserted into the profile so downstream consumers
+(schedule synthesis, two-level reduction) see the true minimum.  Its
+cost (samples, where the odd chain ran, probes, the matvecs of both
+chains and the probes, wall time) goes to one DEBUG line of this
+module's logger.
 """
 
 from __future__ import annotations
@@ -18,10 +26,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import forks
 from .configs import bits_to_configs
 from .errors import ConvergenceError
 from .krylov import lowest_eigenpairs
@@ -34,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 REFINE_TOL = 1e-3  # us, width of the golden-section bracket around the gap minimum
+MIN_SAMPLES = 16  # scan_gap's fewest uniform samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +105,41 @@ def eigenpairs_lowest2(
     return float(vals[0]), float(vals[1]), vecs[0], vecs[1]
 
 
+def _solve(h: "HamiltonianTerms", sched: "PulseSchedule", t: float,
+           warm: np.ndarray | None) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """``eigenpairs_lowest2`` at time t of the schedule; a failed solve names t."""
+    from .hamiltonian import assemble
+
+    H = assemble(h, float(sched.omega(t)), float(sched.delta(t)))
+    try:
+        return eigenpairs_lowest2(H, v0=warm)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"at t = {t:.6f} us: {exc}") from exc
+
+
+def _chain(h: "HamiltonianTerms", sched: "PulseSchedule", times: np.ndarray,
+           rows: list) -> tuple[list, np.ndarray, int]:
+    """One warm-start chain of solves at ``times``, in order.
+
+    The first solve starts cold and each later one from w0 + w1 of the
+    one before.  Writes E0, E1 (and w0, w1 unless None) into the arrays
+    ``rows`` = [e0s, e1s, vecs0, vecs1], row k for times[k].  Returns the
+    rows, w0 + w1 at the chain's first smallest gap, and its matvecs.
+    """
+    matvecs = h.matvecs
+    e0s, e1s, vecs0, vecs1 = rows
+    warm = None
+    for k, t in enumerate(times):
+        e0, e1, w0, w1 = _solve(h, sched, t, warm)
+        e0s[k], e1s[k] = e0, e1
+        if vecs0 is not None:
+            vecs0[k], vecs1[k] = w0, w1
+        warm = w0 + w1
+        if k == 0 or e1 - e0 < gap_min:
+            gap_min, warm_min = e1 - e0, warm
+    return rows, warm_min, h.matvecs - matvecs
+
+
 def scan_gap(
     h: "HamiltonianTerms",
     sched: "PulseSchedule",
@@ -103,53 +149,45 @@ def scan_gap(
 ) -> GapProfile:
     """Gap profile over the sweep window [t_r, T - t_r] (or t_span).
 
-    After the uniform scan the bracket around the smallest sampled gap is
-    refined by golden section to |dt| < REFINE_TOL and the refined point
-    is inserted into the sample arrays.
+    t_span must satisfy 0 <= t_lo < t_hi <= T.  After the uniform scan
+    the bracket around the smallest sampled gap is refined by golden
+    section to |dt| < REFINE_TOL and the refined point is inserted into
+    the sample arrays.
     """
-    if n_samples < 16:
-        raise ValueError("need n_samples >= 16")
-    from .hamiltonian import assemble
-
-    start, matvecs = time.perf_counter(), h.matvecs
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need n_samples >= {MIN_SAMPLES}")
     t_lo, t_hi = sched.sweep_window if t_span is None else t_span
+    if not 0.0 <= t_lo < t_hi <= sched.total_time:  # False for NaN too
+        raise ValueError(f"t_span = ({t_lo}, {t_hi}): need 0 <= t_lo < t_hi <= "
+                         f"T = {sched.total_time} us")
+
+    start = time.perf_counter()
     times = np.linspace(t_lo, t_hi, n_samples)
+    rows = [np.empty(n_samples), np.empty(n_samples),
+            *(np.empty((n_samples, h.dim)) if store_vectors else None for _ in range(2))]
 
-    e0s = np.empty(n_samples)
-    e1s = np.empty(n_samples)
-    vecs0 = np.empty((n_samples, h.dim)) if store_vectors else None
-    vecs1 = np.empty((n_samples, h.dim)) if store_vectors else None
+    def chain(parity: int) -> tuple[list, np.ndarray, int]:
+        return _chain(h, sched, times[parity::2],
+                      [None if a is None else a[parity::2] for a in rows])
 
-    # Each solve warm-starts from w0 + w1 of the solve before it, and the
-    # first golden-section probe from that of the smallest sampled gap.
-    warm = None
-
-    def solve(t: float):
-        nonlocal warm
-        H = assemble(h, float(sched.omega(t)), float(sched.delta(t)))
-        try:
-            e0, e1, w0, w1 = eigenpairs_lowest2(H, v0=warm)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"at t = {t:.6f} us: {exc}") from exc
-        warm = w0 + w1
-        return e0, e1, w0, w1
-
-    i_min = 0
-    for i, t in enumerate(times):
-        e0, e1, w0, w1 = solve(t)
-        e0s[i], e1s[i] = e0, e1
-        if store_vectors:
-            vecs0[i], vecs1[i] = w0, w1
-        if i == 0 or e1 - e0 < e1s[i_min] - e0s[i_min]:
-            i_min, warm_min = i, warm
+    (_, even_warm, even_matvecs), (odd_rows, odd_warm, odd_matvecs), odd_where = \
+        forks.beside(partial(chain, 0), partial(chain, 1))
+    for out, odd in zip(rows, odd_rows):
+        if out is not None:
+            out[1::2] = odd  # a forked child's copy; here, the rows themselves
+    e0s, e1s, vecs0, vecs1 = rows
+    i_min = int(np.argmin(e1s - e0s))
+    warm = odd_warm if i_min % 2 else even_warm
 
     # Golden-section refinement of the sampled minimum.
     probes: dict[float, tuple] = {}
-    warm = warm_min
+    probe_matvecs = h.matvecs
 
     def probe_gap(t: float) -> float:
+        nonlocal warm
         if t not in probes:
-            probes[t] = solve(t)
+            probes[t] = _solve(h, sched, t, warm)
+            warm = probes[t][2] + probes[t][3]
         return probes[t][1] - probes[t][0]
 
     a = times[max(i_min - 1, 0)]
@@ -168,8 +206,10 @@ def scan_gap(
     candidates.append((e1s[i_min] - e0s[i_min], times[i_min]))
     g_min, t_min = min(candidates)
     logger.debug(
-        "scan_gap dim %d: %d samples, %d golden-section probes, %d matvecs, %.3f s",
-        h.dim, n_samples, len(probes), h.matvecs - matvecs, time.perf_counter() - start,
+        "scan_gap dim %d: %d samples, odd-sample chain (%s), %d golden-section probes, "
+        "%d matvecs, %.3f s",
+        h.dim, n_samples, odd_where, len(probes),
+        even_matvecs + odd_matvecs + h.matvecs - probe_matvecs, time.perf_counter() - start,
     )
 
     if not np.any(np.isclose(times, t_min, atol=1e-12)):

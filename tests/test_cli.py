@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rydmis.dynamics
+import rydmis.cli
+import rydmis.forks
 import rydmis.isets
 from rydmis import PulseSchedule, fit_eta_polynomials
 from rydmis.cli import main
@@ -292,7 +293,7 @@ def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path, monkeypatch):
     manifests = []
     # both sides of the fork rule: serial, and a pool whose workers keep the real rule
     for fork in (False, True):
-        monkeypatch.setattr(rydmis.dynamics, "_may_fork",
+        monkeypatch.setattr(rydmis.forks, "_may_fork",
                             lambda: fork and multiprocessing.parent_process() is None)
         out = tmp_path / ("pool" if fork else "serial")
         assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 0
@@ -357,6 +358,22 @@ def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, fl
     assert main(["pipeline", "--config", str(path), *flags, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "std", "--samples", "-3", "--shots", "5"],
+    ["--method", "adglb", "--samples", "8"],
+], ids=["std_negative", "adglb_8"])
+def test_pipeline_rejects_too_few_samples_before_its_first_stage(tmp_path, capsys, monkeypatch,
+                                                                 flags):
+    monkeypatch.setattr(rydmis.cli, "blockade_graph",
+                        lambda *args: pytest.fail("a stage ran before the config was checked"))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--instance", "Q1D_4", *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: samples = ")
+    assert "n_samples >= 16" in err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rydmis.dynamics
+import rydmis.forks
 from rydmis import (
     ConvergenceError,
     EvolveOptions,
@@ -186,7 +187,7 @@ def test_evolve_logs_its_cost(params, caplog, monkeypatch):
 
     monkeypatch.setattr(HamiltonianTerms, "matvec", spy)
     for in_child in (False, True):
-        monkeypatch.setattr(rydmis.dynamics, "_may_fork", lambda: in_child)
+        monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: in_child)
         matvecs.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="rydmis.dynamics"):
@@ -249,7 +250,7 @@ def test_failed_projection_names_its_time(params, monkeypatch):
     h = hamiltonian_terms(g, build_basis(g, "full"))
     monkeypatch.setattr(krylov, "MAX_MATVECS", 5)
     for in_child in (False, True):
-        monkeypatch.setattr(rydmis.dynamics, "_may_fork", lambda: in_child)
+        monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: in_child)
         with pytest.raises(ConvergenceError, match="ground projection at t = "):
             evolve(h, standard_schedule(params), EvolveOptions(n_output=3))
         assert multiprocessing.active_children() == []
@@ -260,7 +261,7 @@ def _check_run_in_child_that(monkeypatch, fail):
     def check_run(h, sched, local_tol):
         fail()
 
-    monkeypatch.setattr(rydmis.dynamics, "_may_fork", lambda: True)
+    monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: True)
     monkeypatch.setattr(rydmis.dynamics, "_check_run", check_run)
 
 
@@ -307,7 +308,7 @@ def _q1d4_drives(params):
 
 def _fork_here_only(monkeypatch):
     """Force the fork rule to True in this process; in a pool's workers it stays False."""
-    monkeypatch.setattr(rydmis.dynamics, "_may_fork",
+    monkeypatch.setattr(rydmis.forks, "_may_fork",
                         lambda: multiprocessing.parent_process() is None)
 
 
@@ -357,17 +358,17 @@ def test_a_worker_that_dies_raises_instead_of_hanging(params, monkeypatch):
 
 _WHERE_THE_CHECK_RUNS = """
 import concurrent.futures, multiprocessing, threading
-import rydmis.dynamics as dyn
-print(dyn._may_fork())
+import rydmis.forks as forks
+print(forks._may_fork())
 stop = threading.Event()
 other = threading.Thread(target=stop.wait)
 other.start()
-print(dyn._may_fork())
+print(forks._may_fork())
 stop.set()
 other.join()
 fork = multiprocessing.get_context("fork")
 with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as pool:
-    print(pool.submit(dyn._may_fork).result())
+    print(pool.submit(forks._may_fork).result())
 """
 
 

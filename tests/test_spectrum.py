@@ -1,11 +1,15 @@
 import logging
+import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 from scipy.sparse import block_diag, csr_matrix, diags
 
+import rydmis.forks
 import rydmis.spectrum
 from rydmis import (
     AtomArray,
@@ -13,6 +17,7 @@ from rydmis import (
     ConvergenceError,
     GapProfile,
     HamiltonianTerms,
+    RydmisError,
     blockade_graph,
     build_basis,
     builtin_instance,
@@ -204,13 +209,27 @@ def test_scan_logs_its_cost(params, caplog, monkeypatch):
         return matvec(self, *args)
 
     monkeypatch.setattr(HamiltonianTerms, "matvec", spy)
-    with caplog.at_level(logging.DEBUG, logger="rydmis.spectrum"):
-        scan_gap(h, standard_schedule(params), n_samples=16, store_vectors=False)
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "rydmis.spectrum"]
-    assert line.startswith("scan_gap dim 16: 16 samples, ")
-    assert int(re.search(r"(\d+) golden-section probes", line).group(1)) > 0
-    assert f" {len(matvecs)} matvecs" in line and matvecs
-    assert re.search(r", \d+\.\d{3} s$", line)
+    logged = {}
+    for forked in (False, True):
+        monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: forked)
+        matvecs.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rydmis.spectrum"):
+            scan_gap(h, standard_schedule(params), n_samples=16, store_vectors=False)
+        assert multiprocessing.active_children() == []
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "rydmis.spectrum"]
+        assert line.startswith("scan_gap dim 16: 16 samples, ")
+        assert int(re.search(r"(\d+) golden-section probes", line).group(1)) > 0
+        assert re.search(r", \d+\.\d{3} s$", line)
+        logged[forked] = int(re.search(r" (\d+) matvecs", line).group(1))
+        # the spy sees this process's matvecs: the odd chain's too unless a child made them
+        if forked:
+            assert re.search(r"odd-sample chain \(child process, peak RSS [0-9.]+ MiB\)", line)
+            assert 0 < len(matvecs) < logged[forked]
+        else:
+            assert "odd-sample chain (this process)" in line
+            assert logged[forked] == len(matvecs) > 0
+    assert logged[True] == logged[False]
 
 
 def _spy_solves(monkeypatch, h):
@@ -231,16 +250,96 @@ def _spy_solves(monkeypatch, h):
 def test_every_scan_solve_starts_from_the_pair_before_it(params, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_7"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
+    monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: False)  # the spy sees both chains
     calls = _spy_solves(monkeypatch, h)
-    n = 60
+    n = 63  # odd, and its smallest sampled gap is in the odd chain
     scan_gap(h, standard_schedule(params), n_samples=n)
     starts, pairs, gaps, _ = zip(*calls)
     assert len(calls) > n + 1
-    # the first probe starts from the pair of the smallest sampled gap
-    expected = (None, *pairs[: n - 1], pairs[int(np.argmin(gaps[:n]))], *pairs[n:-1])
-    assert starts[0] is None
-    for k in range(1, len(calls)):
-        assert np.array_equal(starts[k], expected[k]), k
+    # the even samples' chain, then the odd samples' chain, each from the pair
+    # before it in its own chain and the first cold; then the probes, the first
+    # from the pair of the smallest sampled gap (the lowest sample on ties)
+    sample = np.r_[0:n:2, 1:n:2]  # the sample of each of the first n solves
+    n_even = (n + 1) // 2
+    i_min = int(np.argmin(np.asarray(gaps[:n])[np.argsort(sample)]))
+    assert i_min % 2 == 1
+    expected = (None, *pairs[: n_even - 1], None, *pairs[n_even: n - 1],
+                pairs[int(np.flatnonzero(sample == i_min)[0])], *pairs[n:-1])
+    for k in range(len(calls)):
+        if expected[k] is None:
+            assert starts[k] is None, k
+        else:
+            assert np.array_equal(starts[k], expected[k]), k
+
+
+def test_forked_scan_matches_serial_scan(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_7"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    profiles = []
+    for forked in (False, True):
+        monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: forked)
+        profiles.append(scan_gap(h, standard_schedule(params), store_vectors=True))
+        assert multiprocessing.active_children() == []
+    serial, forked = profiles
+    for name in ("times", "deltas", "e0s", "e1s", "gaps", "vecs0", "vecs1"):
+        assert np.array_equal(getattr(serial, name), getattr(forked, name)), name
+    for name in ("t_min", "delta_min", "g_min"):
+        assert getattr(serial, name) == getattr(forked, name), name
+
+
+def _odd_chain_in_child_that(monkeypatch, act):
+    """Make scan_gap fork its odd-sample chain, and make the child call ``act()`` first."""
+    chain = rydmis.spectrum._chain
+
+    def odd_chain(*args):
+        if multiprocessing.parent_process() is not None:
+            act()
+        return chain(*args)
+
+    monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: True)
+    monkeypatch.setattr(rydmis.spectrum, "_chain", odd_chain)
+
+
+def test_a_failed_odd_chain_reaches_the_caller(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    sched = standard_schedule(params)
+    # only the child's copy of krylov runs out of matvecs
+    _odd_chain_in_child_that(monkeypatch, lambda: setattr(krylov, "MAX_MATVECS", 5))
+    first_odd = np.linspace(*sched.sweep_window, 16)[1]
+    with pytest.raises(ConvergenceError, match=re.escape(f"at t = {first_odd:.6f} us: ")):
+        scan_gap(h, sched, n_samples=16)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_odd_chain_process_that_dies_raises_instead_of_hanging(params, monkeypatch):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    _odd_chain_in_child_that(monkeypatch, lambda: os._exit(3))
+
+    def hung(signum, frame):
+        raise TimeoutError("scan_gap still waits for a child that has exited")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RydmisError, match="exited with code 3"):
+            scan_gap(h, standard_schedule(params), n_samples=16)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("t_span", [(2.0, 1.0), (1.0, 1.0), (-1.0, 0.5), (np.nan, 1.0),
+                                    (1.0, 6.0)],
+                         ids=["descending", "empty", "before_0", "nan", "past_T"])
+def test_scan_rejects_an_unusable_span(params, t_span):
+    g = blockade_graph(builtin_instance("Q1D_4"), params)
+    h = hamiltonian_terms(g, build_basis(g, "full"))
+    assert standard_schedule(params).total_time < 6.0
+    with pytest.raises(ValueError, match=re.escape(f"t_span = {t_span}: ")):
+        scan_gap(h, standard_schedule(params), n_samples=16, t_span=t_span)
 
 
 def test_near_degenerate_scan_solves_stay_cheap(params, monkeypatch):
