@@ -5,11 +5,13 @@ gap scan along the standard sweep, ADGLB or transfer detuning,
 evolution, shots) and is the only home of its defaults; a subcommand's
 flags are generated from the fields it takes.  ``Run`` builds each stage
 once, on first use, so a ``pipeline`` over a ``j_grid`` scans the gap
-once (``gap.csv``) and evolves its schedules through ``evolve_all``.
+once (``gap.csv``) and evolves its schedules, as fig3b its five drives,
+through one ``evolve_all``, which shares their runs with a forked child.
 
 Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
 The global ``-v`` writes the ``rydmis`` loggers' DEBUG lines (solver and
-evolution costs) to stderr; stdout does not change.
+evolution costs, and where each evolution run ran) to stderr; stdout
+does not change.
 """
 
 from __future__ import annotations

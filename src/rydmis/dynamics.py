@@ -28,14 +28,14 @@ The ground population at each output time comes from
 warm-started from w0 + w1 of the previous output time's solve, and the
 MIS overlap sums the populations of the census's ``mis_configs``.  A run
 is reported only after halving the step cap reproduces the final
-ground-state population to the convergence tolerance.  The two runs are
-independent, so ``forks.beside`` may make the check's run in a forked
-child while this process makes the main run, and ``evolve_all`` maps
-several drives over ``forks.pool_map``.  The cost of each run (steps,
-Krylov exponentials, and the matvecs of the stepping and the
-projections, read from the terms' counter), where the check ran, the
-child's peak RSS and the check's delta go to one DEBUG line of this
-module's logger.
+ground-state population to the convergence tolerance.  The runs are
+independent, so ``evolve_all`` splits the main and check runs of its
+drives between this process and one child forked by ``forks.beside``;
+``evolve`` is ``evolve_all`` of one drive.  Per drive, the cost of each
+run (steps, Krylov exponentials, and the matvecs of the stepping and the
+projections, read from the terms' counter), where each run ran (with
+the child's peak RSS) and the check's delta go to one DEBUG line of
+this module's logger.
 
 The two-level reduction needs <E1| dH/dt |E0>, and dH/dt is
 omega' sx + delta' zdiag, read off the same cached terms.
@@ -228,14 +228,14 @@ def _run(
     n_output: int,
     local_tol: float,
     max_step: float,
-    counts: Counter,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Counter]:
     """One evolution from the all-ground state at n_output evenly spaced times.
 
-    Returns (times, final psi, p_e0, p_mis) and adds its steps, Krylov
-    exponentials, matvecs and wall seconds to ``counts``.
+    Returns (times, final psi, p_e0, p_mis, counts), with the run's steps,
+    Krylov exponentials, matvecs and wall seconds in ``counts``.
     """
     exp_tol = local_tol / 10.0
+    counts: Counter = Counter()
     matvecs, t0 = h.matvecs, time.perf_counter()
 
     def at(t: float) -> tuple[float, float]:
@@ -259,9 +259,8 @@ def _run(
             raise ConvergenceError(
                 f"ground projection at t = {times[i]:.6f} us: {exc}") from exc
         p_mis[i] = float(np.sum(np.abs(psi[mis_positions]) ** 2))
-    counts["matvecs"] += h.matvecs - matvecs
-    counts["seconds"] += time.perf_counter() - t0
-    return times, psi, p_e0, p_mis
+    counts["matvecs"], counts["seconds"] = h.matvecs - matvecs, time.perf_counter() - t0
+    return times, psi, p_e0, p_mis, counts
 
 
 def _cost(counts: Counter) -> str:
@@ -270,20 +269,14 @@ def _cost(counts: Counter) -> str:
             f"{counts['seconds']:.3f} s")
 
 
-def _check_run(h: HamiltonianTerms, sched: PulseSchedule,
-               local_tol: float) -> tuple[float, Counter]:
-    """The convergence check's run: its final p_e0 and its counts."""
-    counts: Counter = Counter()
-    p_e0 = _run(h, sched, np.empty(0, dtype=np.int64), 2, local_tol / 4.0, MAX_STEP / 2.0,
-                counts)[2]
-    return float(p_e0[-1]), counts
+def _check_run(h: HamiltonianTerms, sched: PulseSchedule, local_tol: float) -> tuple:
+    """The convergence check's run, ``_run`` at t = 0 and T only, with a
+    quarter of the local tolerance and half the step cap."""
+    return _run(h, sched, np.empty(0, dtype=np.int64), 2, local_tol / 4.0, MAX_STEP / 2.0)
 
 
-def evolve(
-    h: HamiltonianTerms,
-    sched: PulseSchedule,
-    opts: EvolveOptions | None = None,
-) -> EvolutionResult:
+def evolve(h: HamiltonianTerms, sched: PulseSchedule,
+           opts: EvolveOptions | None = None) -> EvolutionResult:
     """Integrate i d|psi>/dt = H(t)|psi> from the all-ground state.
 
     Ground population is the projection onto the instantaneous ground
@@ -291,9 +284,24 @@ def evolve(
     where eigenvalues coincide within the degeneracy tolerance, which is
     the generic situation at t = T when the MIS is degenerate).
 
-    The convergence check's run goes to ``forks.beside``: to a forked
-    child while this process makes the main run where the fork rule
-    allows it, and after the main run here elsewhere.
+    This is ``evolve_all`` of one drive: the main run here, and the
+    convergence check's run in a forked child where the fork rule allows
+    it.
+    """
+    return evolve_all(h, [sched], opts)[0]
+
+
+def evolve_all(h: HamiltonianTerms, scheds: Sequence[PulseSchedule],
+               opts: EvolveOptions | None = None) -> list[EvolutionResult]:
+    """``evolve`` of each drive in ``scheds``, split between two processes.
+
+    Every drive has two runs, the main run and the convergence check's.
+    This process makes the main runs of drives 0, 2, 4, ... and the check
+    runs of drives 1, 3, ...; ``forks.beside`` makes the other runs, in a
+    forked child where the fork rule allows it and after these here
+    elsewhere.  Each run starts from the all-ground state and reads
+    nothing of another, so the results are the same bit for bit either
+    way.  The first drive whose check fails raises ConvergenceError.
     """
     if opts is None:
         opts = EvolveOptions()
@@ -302,41 +310,35 @@ def evolve(
 
     mis_positions = h.basis.position_of(count_isets(h.graph).mis_configs)
     mis_positions = mis_positions[mis_positions >= 0]
+    runs = [(partial(_run, h, s, mis_positions, opts.n_output, opts.local_tol, MAX_STEP),
+             partial(_check_run, h, s, opts.local_tol)) for s in scheds]
 
-    counts: Counter = Counter()
-    main = partial(_run, h, sched, mis_positions, opts.n_output, opts.local_tol, MAX_STEP,
-                   counts)
-    h.build_caches()  # a forked check run then shares them
-    (times, psi, p_e0, p_mis), (check_p_e0, check_counts), check_where = \
-        forks.beside(main, partial(_check_run, h, sched, opts.local_tol))
+    def half(parity: int) -> list[tuple]:
+        """Parity 0: the main runs of the even drives and the check runs of the odd ones."""
+        return [pair[(i + parity) % 2]() for i, pair in enumerate(runs)]
 
-    final_p_e0 = float(p_e0[-1])
-    check_delta = abs(check_p_e0 - final_p_e0)
-    logger.debug(
-        "evolve dim %d, %d knots: main run %s; check run (%s) %s; convergence-check delta %.3e",
-        h.dim, sched.knots.size, _cost(counts), check_where, _cost(check_counts), check_delta,
-    )
-    if check_delta >= opts.convergence_tol:
-        raise ConvergenceError(
-            f"halving the step cap moved final p_e0 by {check_delta:.2e} "
-            f"(>= {opts.convergence_tol:g}); tighten local_tol"
-        )
-
-    return EvolutionResult(
-        times=times,
-        p_e0=p_e0,
-        mis_overlap=p_mis,
-        final_state=QuantumState(basis=h.basis, amplitudes=psi),
-        final_p_e0=final_p_e0,
-        final_p_mis=float(p_mis[-1]),
-    )
-
-
-def evolve_all(h: HamiltonianTerms, scheds: Sequence[PulseSchedule],
-               opts: EvolveOptions | None = None) -> list[EvolutionResult]:
-    """``[evolve(h, s, opts) for s in scheds]``, over ``forks.pool_map``'s forked pool
-    where the fork rule allows it."""
-    return forks.pool_map(partial(evolve, h, opts=opts), scheds)
+    h.build_caches()  # a forked child then shares them
+    here, there, child_where = forks.beside(partial(half, 0), partial(half, 1))
+    halves = [(here, "this process"), (there, child_where)]
+    results = []
+    for i, sched in enumerate(scheds):
+        # drive i's main run is in half i % 2, its check run in the other
+        (main_runs, main_where), (check_runs, check_where) = halves[i % 2], halves[1 - i % 2]
+        times, psi, p_e0, p_mis, counts = main_runs[i]
+        _, _, check_p_e0, _, check_counts = check_runs[i]
+        final_p_e0 = float(p_e0[-1])
+        check_delta = abs(float(check_p_e0[-1]) - final_p_e0)
+        logger.debug("evolve dim %d, %d knots: main run (%s) %s; check run (%s) %s; "
+                     "convergence-check delta %.3e", h.dim, sched.knots.size, main_where,
+                     _cost(counts), check_where, _cost(check_counts), check_delta)
+        if check_delta >= opts.convergence_tol:
+            raise ConvergenceError(
+                f"halving the step cap moved final p_e0 by {check_delta:.2e} "
+                f"(>= {opts.convergence_tol:g}); tighten local_tol"
+            )
+        results.append(EvolutionResult(times, p_e0, p_mis, QuantumState(h.basis, psi),
+                                       final_p_e0, float(p_mis[-1])))
+    return results
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,38 +1,38 @@
-"""Every fork of the package, and the one rule that decides it.
+"""The package's one fork, ``beside``, and the one rule that decides it.
 
-One rule, ``_may_fork``, decides every fork: this process runs one
-thread, so BLAS runs on one, it is not a pool's worker, and two CPUs or
-more are usable.  There ``beside`` runs a side job in one child process,
-started with the fork start method (so the caller's objects and their
-caches are shared, not pickled), while this process runs the main job;
-the child sends back the side job's result and its peak RSS, or its
-exception.  There ``pool_map`` also maps a function over a forked pool,
-with at most one worker per usable CPU.  Elsewhere everything runs
-serially in this process: a multi-threaded BLAS in two processes on the
-same cores makes the pair slower than one process.  The bits are the
-same either way.
+``beside(main, side)`` runs a side job in one child process, started
+with the fork start method (so the caller's objects and their caches
+are shared, not pickled), while this process runs the main job; the
+child sends back the side job's result and its peak RSS, or its
+exception.  It forks only where ``_may_fork`` says each process gets a
+core of its own; elsewhere the side job runs after the main one in this
+process.  The bits are the same either way.
 
-Three users fork:
+Two users fork:
 
-- ``dynamics.evolve`` makes its convergence check's run beside the main
-  run;
-- ``dynamics.evolve_all`` maps its drives over a pool, whose workers
-  make their check runs in-process;
+- ``dynamics.evolve_all`` (which ``evolve`` goes through) splits each
+  drive's main run and convergence-check run between this process and
+  the child;
 - ``spectrum.scan_gap`` solves its odd-sample warm-start chain beside
   the even one.
 
 A forked child's memory is not in this process's ``ru_maxrss``, and its
 matvecs are not in this process's counter: ``beside`` reports the
-child's peak RSS, and each side job counts its own matvecs.
+child's peak RSS, and each side job counts its own matvecs.  A side job
+may also write its results into arrays of ``shared``, which this process
+then reads in place, instead of sending them back.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import multiprocessing
 import os
 import resource
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
+
+import numpy as np
 
 from .errors import RydmisError
 
@@ -41,15 +41,16 @@ B = TypeVar("B")
 
 
 def _may_fork() -> bool:
-    """Whether ``beside`` forks its side job and ``pool_map`` a pool.
+    """Whether ``beside`` forks its side job.
 
     Only where each process gets a core of its own: this process runs one
-    thread, it is not itself a worker process (a pool's workers already
-    fill the cores), and at least two CPUs are usable.  A multi-threaded
-    BLAS starts its worker threads when it loads, so one thread also
-    means BLAS on one thread: two processes whose BLAS waits on workers
-    that the other keeps off the cores make the pair slower than running
-    it serially.  With one thread at the fork, no lock can be held by a
+    thread, it is not itself a worker process (a caller that runs the
+    package in worker processes of its own already fills the cores with
+    them), and at least two CPUs are usable.  A multi-threaded BLAS
+    starts its worker threads when it loads, so one thread also means
+    BLAS on one thread: two processes whose BLAS waits on workers that
+    the other keeps off the cores make the pair slower than running it
+    serially.  With one thread at the fork, no lock can be held by a
     thread the child does not have, so the child cannot deadlock on one
     and leave this process waiting for its reply.
     """
@@ -83,8 +84,7 @@ def beside(main: Callable[[], A], side: Callable[[], B]) -> tuple[A, B, str]:
     terminated first when main() raises.
     """
     if not _may_fork():
-        result = main()
-        return result, side(), "this process"
+        return main(), side(), "this process"
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_reply, args=(send, side))
@@ -110,17 +110,7 @@ def beside(main: Callable[[], A], side: Callable[[], B]) -> tuple[A, B, str]:
     return result, side_result, f"child process, peak RSS {rss_kib / 1024.0:.1f} MiB"
 
 
-def pool_map(fn: Callable[[A], B], items: Sequence[A]) -> list[B]:
-    """``[fn(x) for x in items]``, over a forked pool where ``_may_fork`` allows it
-    and there are two items or more, with at most one worker per usable CPU.
-
-    A worker that exits before it replies raises RydmisError.
-    """
-    if len(items) < 2 or not _may_fork():
-        return [fn(x) for x in items]
-    try:
-        with ProcessPoolExecutor(min(len(items), len(os.sched_getaffinity(0))),
-                                 multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(fn, items))
-    except BrokenExecutor:
-        raise RydmisError("a worker process exited before it replied") from None
+def shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A zero-filled float64 array in an anonymous shared mapping: what a
+    forked side job of ``beside`` writes into it, this process reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)

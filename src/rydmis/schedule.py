@@ -94,6 +94,10 @@ class PulseSchedule:
             raise ValueError("knots must span [0, T]")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knot times must be strictly increasing")
+        # after the knot checks: a repeated table time gives an infinite slope
+        for name, value in (("knots", knots), ("coeffs", coeffs), ("omega0", self.omega0)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"schedule {name} must be finite")
         if any(np.min(np.abs(knots - edge)) > 1e-12 for edge in self.sweep_window):
             raise ValueError("knots must include the ramp edges")
         t, v = self.delta_times, self.delta_values
@@ -255,8 +259,8 @@ def adglb_schedule(p: PhysicalParams, profile: "GapProfile", j: float) -> PulseS
     at delta_f.  The Rabi trapezoid is unchanged.  The profile must have
     been computed along the standard schedule for the same parameters.
     """
-    if j <= 0:
-        raise ValueError("need j > 0")
+    if not (np.isfinite(j) and j > 0):
+        raise ValueError(f"j = {j}: need a finite j > 0")
     t_r, t_hi = p.ramp_time, p.total_time - p.ramp_time
     times = np.asarray(profile.times, dtype=float)
     if abs(times[0] - t_r) > 1e-6 or abs(times[-1] - t_hi) > 1e-6:

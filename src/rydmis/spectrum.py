@@ -11,7 +11,8 @@ ones: each chain's first solve starts cold and every later one from
 w0 + w1 of the previous sample in its own chain.  ``forks.beside`` runs
 the odd chain in a forked child while this process runs the even one,
 where the fork rule allows it, and after the even one here elsewhere;
-the profile is the same bit for bit.  The golden-section probes then
+both chains write their rows into arrays of ``forks.shared``, and the
+profile is the same bit for bit.  The golden-section probes then
 run here, the first from w0 + w1 of the smallest sampled gap (the
 lowest index on ties) and each later one from the probe before it.  The
 refined point is inserted into the profile so downstream consumers
@@ -118,13 +119,13 @@ def _solve(h: "HamiltonianTerms", sched: "PulseSchedule", t: float,
 
 
 def _chain(h: "HamiltonianTerms", sched: "PulseSchedule", times: np.ndarray,
-           rows: list) -> tuple[list, np.ndarray, int]:
+           rows: list) -> tuple[np.ndarray, int]:
     """One warm-start chain of solves at ``times``, in order.
 
     The first solve starts cold and each later one from w0 + w1 of the
     one before.  Writes E0, E1 (and w0, w1 unless None) into the arrays
-    ``rows`` = [e0s, e1s, vecs0, vecs1], row k for times[k].  Returns the
-    rows, w0 + w1 at the chain's first smallest gap, and its matvecs.
+    ``rows`` = [e0s, e1s, vecs0, vecs1], row k for times[k].  Returns
+    w0 + w1 at the chain's first smallest gap, and its matvecs.
     """
     matvecs = h.matvecs
     e0s, e1s, vecs0, vecs1 = rows
@@ -137,7 +138,7 @@ def _chain(h: "HamiltonianTerms", sched: "PulseSchedule", times: np.ndarray,
         warm = w0 + w1
         if k == 0 or e1 - e0 < gap_min:
             gap_min, warm_min = e1 - e0, warm
-    return rows, warm_min, h.matvecs - matvecs
+    return warm_min, h.matvecs - matvecs
 
 
 def scan_gap(
@@ -163,18 +164,16 @@ def scan_gap(
 
     start = time.perf_counter()
     times = np.linspace(t_lo, t_hi, n_samples)
-    rows = [np.empty(n_samples), np.empty(n_samples),
-            *(np.empty((n_samples, h.dim)) if store_vectors else None for _ in range(2))]
+    # shared, so that a forked odd chain writes its rows in place
+    rows = [forks.shared((n_samples,)), forks.shared((n_samples,)),
+            *(forks.shared((n_samples, h.dim)) if store_vectors else None for _ in range(2))]
 
-    def chain(parity: int) -> tuple[list, np.ndarray, int]:
+    def chain(parity: int) -> tuple[np.ndarray, int]:
         return _chain(h, sched, times[parity::2],
                       [None if a is None else a[parity::2] for a in rows])
 
-    (_, even_warm, even_matvecs), (odd_rows, odd_warm, odd_matvecs), odd_where = \
+    (even_warm, even_matvecs), (odd_warm, odd_matvecs), odd_where = \
         forks.beside(partial(chain, 0), partial(chain, 1))
-    for out, odd in zip(rows, odd_rows):
-        if out is not None:
-            out[1::2] = odd  # a forked child's copy; here, the rows themselves
     e0s, e1s, vecs0, vecs1 = rows
     i_min = int(np.argmin(e1s - e0s))
     warm = odd_warm if i_min % 2 else even_warm

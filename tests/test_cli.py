@@ -15,7 +15,7 @@ import pytest
 import rydmis.cli
 import rydmis.forks
 import rydmis.isets
-from rydmis import PulseSchedule, fit_eta_polynomials
+from rydmis import PhysicalParams, PulseSchedule, fit_eta_polynomials, standard_schedule
 from rydmis.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -240,6 +240,44 @@ def test_export_ahs_adglb_points_to_design(tmp_path, capsys):
     assert not (tmp_path / "a.json").exists()
 
 
+def _non_finite_schedule(path: Path, defect: str) -> str:
+    """A standard-sweep schedule file with one value set to NaN."""
+    data = standard_schedule(PhysicalParams.default()).to_json()
+    if defect == "omega0":
+        data["omega0_over_2pi_MHz"] = float("nan")
+    elif defect == "piece_coefficient":
+        data["points"][1]["poly_over_2pi_MHz"][0] = float("nan")
+    else:  # a table value of a file without piece coefficients
+        for point in data["points"]:
+            point.pop("poly_over_2pi_MHz", None)
+        data["points"][2]["delta_over_2pi_MHz"] = float("nan")
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, defect, field", [
+    ("design", "--j nan", "j = nan"),
+    ("design", "--j inf", "j = inf"),
+    ("export-ahs", "piece_coefficient", "coeffs"),
+    ("export-ahs", "table_value", "coeffs"),
+    ("export-ahs", "omega0", "omega0"),
+    ("evolve", "piece_coefficient", "coeffs"),
+    ("evolve", "omega0", "omega0"),
+], ids=["design_j_nan", "design_j_inf", "export_coefficient", "export_table_value",
+        "export_omega0", "evolve_coefficient", "evolve_omega0"])
+def test_non_finite_schedule_input_exits_1(tmp_path, capsys, command, defect, field):
+    out = tmp_path / "out.json"
+    if command == "design":
+        flags = ["--instance", "Q1D_4", "--method", "adglb", "--samples", "20", *defect.split()]
+    else:
+        flags = ["--schedule", _non_finite_schedule(tmp_path / "bad.json", defect)]
+        flags += ["--instance", "Q1D_4", "--n-output", "3"] if command == "evolve" else []
+    assert main([command, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error:") and field in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("instance", [["--instance", "Q1D_4"], []],
                          ids=["with-instance", "without-instance"])
 def test_sample_rejects_zero_shots(pipeline_dir, tmp_path, capsys, instance):
@@ -291,11 +329,11 @@ def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path, monkeypatch):
     config.write_text(json.dumps({"instance": "Q1D_4", "method": "adglb", "j_grid": [1.0, 2.0],
                                   "samples": 20, "n_output": 5, "shots": 20}))
     manifests = []
-    # both sides of the fork rule: serial, and a pool whose workers keep the real rule
+    # both sides of the fork rule: serial, and split with a forked child
     for fork in (False, True):
         monkeypatch.setattr(rydmis.forks, "_may_fork",
                             lambda: fork and multiprocessing.parent_process() is None)
-        out = tmp_path / ("pool" if fork else "serial")
+        out = tmp_path / ("forked" if fork else "serial")
         assert main(["pipeline", "--config", str(config), "--out-dir", str(out)]) == 0
         assert _hashes_hold(out)
         assert sorted(p.name for p in out.glob("gap*.csv")) == ["gap.csv"]
@@ -305,7 +343,7 @@ def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path, monkeypatch):
     assert [r["tag"] for r in runs] == ["_j1", "_j2"]
     assert all(r["artifacts"]["gap_csv"] == "gap.csv" for r in runs)
     assert runs[0]["final_p_e0"] != runs[1]["final_p_e0"]
-    # the pool's workers, and any process they started, are gone
+    # the forked children are gone
     assert multiprocessing.active_children() == []
 
 

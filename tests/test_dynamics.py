@@ -176,7 +176,7 @@ def test_evolve_logs_its_cost(params, caplog, monkeypatch):
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
     sched, opts = standard_schedule(params), EvolveOptions(n_output=3)
-    _, counts = rydmis.dynamics._check_run(h, sched, opts.local_tol)
+    counts = rydmis.dynamics._check_run(h, sched, opts.local_tol)[4]
     check = (counts["accepted"], counts["rejected"], counts["exponentials"], counts["matvecs"])
     matvecs = []
     matvec = HamiltonianTerms.matvec
@@ -198,6 +198,7 @@ def test_evolve_logs_its_cost(params, caplog, monkeypatch):
                           r"exponentials, (\d+) matvecs, [0-9.]+ s", line)
         assert len(runs) == 2 and "convergence-check delta" in line
         assert tuple(map(int, runs[1])) == check
+        assert "main run (this process)" in line
         # the spy sees this process's matvecs: the check run's too unless a child made it
         if in_child:
             assert re.search(r"check run \(child process, peak RSS [0-9.]+ MiB\)", line)
@@ -298,40 +299,46 @@ def test_a_check_process_that_dies_raises_instead_of_hanging(params, monkeypatch
 
 
 def _q1d4_drives(params):
-    """Q1D_4 terms and four drives: the standard sweep and three ADGLB exponents."""
+    """Q1D_4 terms and five drives: the standard sweep and four ADGLB exponents."""
     g = blockade_graph(builtin_instance("Q1D_4"), params)
     h = hamiltonian_terms(g, build_basis(g, "full"))
     profile = scan_gap(h, standard_schedule(params), n_samples=20)
     return h, [standard_schedule(params), *(adglb_schedule(params, profile, j)
-                                            for j in (1.0, 1.5, 2.0))]
+                                            for j in (1.0, 1.5, 1.8, 2.0))]
 
 
-def _fork_here_only(monkeypatch):
-    """Force the fork rule to True in this process; in a pool's workers it stays False."""
-    monkeypatch.setattr(rydmis.forks, "_may_fork",
-                        lambda: multiprocessing.parent_process() is None)
-
-
-def test_evolve_all_over_a_pool_matches_serial_evolve(params, monkeypatch):
+def test_forked_evolve_all_matches_serial_evolve_all(params, monkeypatch, caplog):
     h, scheds = _q1d4_drives(params)
     opts = EvolveOptions(n_output=5)
-    serial = [evolve(h, sched, opts) for sched in scheds]
-    _fork_here_only(monkeypatch)
-    matvecs = h.matvecs
-    pooled = rydmis.dynamics.evolve_all(h, scheds, opts)
-    assert h.matvecs == matvecs  # every evolution ran in a worker
-    assert multiprocessing.active_children() == []
-    assert len(pooled) == len(scheds)
-    for a, b in zip(serial, pooled):
+    results = {}
+    for forked in (False, True):
+        monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: forked)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rydmis.dynamics"):
+            results[forked] = rydmis.dynamics.evolve_all(h, scheds, opts)
+        assert multiprocessing.active_children() == []
+        lines = [r.getMessage() for r in caplog.records if r.name == "rydmis.dynamics"]
+        assert len(lines) == len(scheds)
+        # an odd count of drives: each half makes both kinds of run
+        for i, line in enumerate(lines):
+            runs = re.findall(r"(main|check) run \((this process|child process)", line)
+            here = "this process"
+            there = "child process" if forked else here
+            assert runs == [("main", there if i % 2 else here), ("check", here if i % 2 else there)]
+    serial, forked = results[False], results[True]
+    assert len(forked) == len(scheds)
+    for a, b in zip(serial, forked):
         assert a.final_p_e0 == b.final_p_e0
         assert np.array_equal(a.p_e0, b.p_e0)
+        assert np.array_equal(a.mis_overlap, b.mis_overlap)
         assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
 
 
 def test_a_failed_worker_evolution_reaches_the_caller(params, monkeypatch):
+    # the main runs of the even drives fail here, those of the odd ones in the child
     h, scheds = _q1d4_drives(params)
     monkeypatch.setattr(krylov, "MAX_MATVECS", 5)
-    _fork_here_only(monkeypatch)
+    monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: True)
     with pytest.raises(ConvergenceError, match="ground projection at t = "):
         rydmis.dynamics.evolve_all(h, scheds, EvolveOptions(n_output=3))
     assert multiprocessing.active_children() == []
@@ -339,16 +346,23 @@ def test_a_failed_worker_evolution_reaches_the_caller(params, monkeypatch):
 
 def test_a_worker_that_dies_raises_instead_of_hanging(params, monkeypatch):
     h, scheds = _q1d4_drives(params)
-    _fork_here_only(monkeypatch)
-    monkeypatch.setattr(rydmis.dynamics, "_run", lambda *args: os._exit(3))
+    run = rydmis.dynamics._run
+
+    def dies_in_the_child(*args):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return run(*args)
+
+    monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: True)
+    monkeypatch.setattr(rydmis.dynamics, "_run", dies_in_the_child)
 
     def hung(signum, frame):
-        raise TimeoutError("evolve_all still waits for a worker that has exited")
+        raise TimeoutError("evolve_all still waits for a child that has exited")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(RydmisError, match="worker process exited"):
+        with pytest.raises(RydmisError, match="exited with code 3"):
             rydmis.dynamics.evolve_all(h, scheds, EvolveOptions(n_output=3))
     finally:
         signal.alarm(0)

@@ -61,6 +61,8 @@ def test_construction_invariants_enforced(params):
     with pytest.raises(ValueError, match="strictly increasing"):
         PulseSchedule.from_table(0.5, 5.0, params.omega0,
                                  np.array([0.0, 0.5, 0.5, 5.0]), np.array([0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="knots must be finite"):
+        PulseSchedule.from_table(0.5, 5.0, params.omega0, [0.0, 0.5, np.nan, 4.5, 5.0], np.zeros(5))
 
 
 def _polyval(s, coeffs):
