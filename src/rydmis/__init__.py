@@ -5,7 +5,21 @@ hardness parameters, computes spectral-gap profiles along pulse
 schedules, synthesizes gap-guided detuning schedules, integrates the
 time-dependent Schrodinger equation, and samples measurement histograms
 with a readout-error channel.
+
+Importing the package puts BLAS on one thread (OPENBLAS_NUM_THREADS=1)
+unless numpy is already loaded or OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS
+or OMP_NUM_THREADS is set, so ``forks.share`` may run the jobs of a gap
+scan or of the evolutions in two processes, one per core, as in every
+``rydmis`` command.  A library caller that imports numpy first keeps its
+BLAS threads; with more than one, nothing forks.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                        "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from types import ModuleType as _ModuleType
 

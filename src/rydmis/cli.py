@@ -6,7 +6,8 @@ evolution, shots) and is the only home of its defaults; a subcommand's
 flags are generated from the fields it takes.  ``Run`` builds each stage
 once, on first use, so a ``pipeline`` over a ``j_grid`` scans the gap
 once (``gap.csv``) and evolves its schedules, as fig3b its five drives,
-through one ``evolve_all``, which shares their runs with a forked child.
+through one ``evolve_all``.  With BLAS on one thread (see ``rydmis``),
+the scan's and the evolutions' jobs are shared with a forked child.
 
 Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
 The global ``-v`` writes the ``rydmis`` loggers' DEBUG lines (solver and

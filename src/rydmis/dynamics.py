@@ -29,13 +29,12 @@ warm-started from w0 + w1 of the previous output time's solve, and the
 MIS overlap sums the populations of the census's ``mis_configs``.  A run
 is reported only after halving the step cap reproduces the final
 ground-state population to the convergence tolerance.  The runs are
-independent, so ``evolve_all`` splits the main and check runs of its
-drives between this process and one child forked by ``forks.beside``;
-``evolve`` is ``evolve_all`` of one drive.  Per drive, the cost of each
-run (steps, Krylov exponentials, and the matvecs of the stepping and the
-projections, read from the terms' counter), where each run ran (with
-the child's peak RSS) and the check's delta go to one DEBUG line of
-this module's logger.
+independent, so ``evolve_all`` hands every main run and then every check
+run to ``forks.share`` (``evolve``, one drive, keeps its main run here
+and, where the fork rule allows it, sends its check run to the child).
+Per drive, each run's cost (steps, Krylov exponentials, and the matvecs
+of the stepping and the projections, read from the terms' counter),
+where it ran and the check's delta go to one DEBUG line.
 
 The two-level reduction needs <E1| dH/dt |E0>, and dH/dt is
 omega' sx + delta' zdiag, read off the same cached terms.
@@ -284,24 +283,19 @@ def evolve(h: HamiltonianTerms, sched: PulseSchedule,
     where eigenvalues coincide within the degeneracy tolerance, which is
     the generic situation at t = T when the MIS is degenerate).
 
-    This is ``evolve_all`` of one drive: the main run here, and the
-    convergence check's run in a forked child where the fork rule allows
-    it.
+    This is ``evolve_all`` of one drive.
     """
     return evolve_all(h, [sched], opts)[0]
 
 
 def evolve_all(h: HamiltonianTerms, scheds: Sequence[PulseSchedule],
                opts: EvolveOptions | None = None) -> list[EvolutionResult]:
-    """``evolve`` of each drive in ``scheds``, split between two processes.
+    """``evolve`` of each drive in ``scheds``, shared between two processes.
 
-    Every drive has two runs, the main run and the convergence check's.
-    This process makes the main runs of drives 0, 2, 4, ... and the check
-    runs of drives 1, 3, ...; ``forks.beside`` makes the other runs, in a
-    forked child where the fork rule allows it and after these here
-    elsewhere.  Each run starts from the all-ground state and reads
-    nothing of another, so the results are the same bit for bit either
-    way.  The first drive whose check fails raises ConvergenceError.
+    ``forks.share`` gets the drives' main runs, then their convergence
+    check runs.  Each run starts from the all-ground state and reads
+    nothing of another, so the results are the same bit for bit wherever
+    each ran.  The first drive whose check fails raises ConvergenceError.
     """
     if opts is None:
         opts = EvolveOptions()
@@ -310,22 +304,15 @@ def evolve_all(h: HamiltonianTerms, scheds: Sequence[PulseSchedule],
 
     mis_positions = h.basis.position_of(count_isets(h.graph).mis_configs)
     mis_positions = mis_positions[mis_positions >= 0]
-    runs = [(partial(_run, h, s, mis_positions, opts.n_output, opts.local_tol, MAX_STEP),
-             partial(_check_run, h, s, opts.local_tol)) for s in scheds]
-
-    def half(parity: int) -> list[tuple]:
-        """Parity 0: the main runs of the even drives and the check runs of the odd ones."""
-        return [pair[(i + parity) % 2]() for i, pair in enumerate(runs)]
-
     h.build_caches()  # a forked child then shares them
-    here, there, child_where = forks.beside(partial(half, 0), partial(half, 1))
-    halves = [(here, "this process"), (there, child_where)]
+    runs = forks.share(
+        [partial(_run, h, s, mis_positions, opts.n_output, opts.local_tol, MAX_STEP)
+         for s in scheds] + [partial(_check_run, h, s, opts.local_tol) for s in scheds])
     results = []
-    for i, sched in enumerate(scheds):
-        # drive i's main run is in half i % 2, its check run in the other
-        (main_runs, main_where), (check_runs, check_where) = halves[i % 2], halves[1 - i % 2]
-        times, psi, p_e0, p_mis, counts = main_runs[i]
-        _, _, check_p_e0, _, check_counts = check_runs[i]
+    n = len(scheds)
+    for sched, (main, main_where), (check, check_where) in zip(scheds, runs[:n], runs[n:]):
+        times, psi, p_e0, p_mis, counts = main
+        _, _, check_p_e0, _, check_counts = check
         final_p_e0 = float(p_e0[-1])
         check_delta = abs(float(check_p_e0[-1]) - final_p_e0)
         logger.debug("evolve dim %d, %d knots: main run (%s) %s; check run (%s) %s; "

@@ -1,26 +1,20 @@
-"""The package's one fork, ``beside``, and the one rule that decides it.
+"""The package's one fork, ``share``, and the one rule that decides it.
 
-``beside(main, side)`` runs a side job in one child process, started
-with the fork start method (so the caller's objects and their caches
-are shared, not pickled), while this process runs the main job; the
-child sends back the side job's result and its peak RSS, or its
-exception.  It forks only where ``_may_fork`` says each process gets a
-core of its own; elsewhere the side job runs after the main one in this
-process.  The bits are the same either way.
+``share(jobs)`` runs independent jobs in two processes: this one starts
+job 0 and a child forked from it (so the caller's objects and caches are
+shared, not pickled) job 1, and each then takes the next unstarted job
+from a counter the two share.  The child sends back its results and
+peak RSS, or the exception a job raised.  Where ``_may_fork`` says no,
+every job runs here in order; the bits are the same either way.
+``dynamics.evolve_all`` passes every main run, then every check run (so
+one drive's check run goes to the child), and ``spectrum.scan_gap`` its
+even and odd sample chains (the odd one goes to the child).
 
-Two users fork:
-
-- ``dynamics.evolve_all`` (which ``evolve`` goes through) splits each
-  drive's main run and convergence-check run between this process and
-  the child;
-- ``spectrum.scan_gap`` solves its odd-sample warm-start chain beside
-  the even one.
-
-A forked child's memory is not in this process's ``ru_maxrss``, and its
-matvecs are not in this process's counter: ``beside`` reports the
-child's peak RSS, and each side job counts its own matvecs.  A side job
-may also write its results into arrays of ``shared``, which this process
-then reads in place, instead of sending them back.
+``rydmis/__init__.py`` puts BLAS on one thread before numpy loads, so
+the rule says yes in every CLI run; a library caller that imports numpy
+first, or sets a BLAS thread count above one, forks nothing.  Each job
+counts its own matvecs, since a child's are not in this process's
+counter.  A job may write into ``shared`` arrays instead of replying.
 """
 
 from __future__ import annotations
@@ -30,29 +24,23 @@ import mmap
 import multiprocessing
 import os
 import resource
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import RydmisError
 
-A = TypeVar("A")
-B = TypeVar("B")
+R = TypeVar("R")
 
 
 def _may_fork() -> bool:
-    """Whether ``beside`` forks its side job.
+    """Whether ``share`` forks: only where each process gets a core of its own.
 
-    Only where each process gets a core of its own: this process runs one
-    thread, it is not itself a worker process (a caller that runs the
-    package in worker processes of its own already fills the cores with
-    them), and at least two CPUs are usable.  A multi-threaded BLAS
-    starts its worker threads when it loads, so one thread also means
-    BLAS on one thread: two processes whose BLAS waits on workers that
-    the other keeps off the cores make the pair slower than running it
-    serially.  With one thread at the fork, no lock can be held by a
-    thread the child does not have, so the child cannot deadlock on one
-    and leave this process waiting for its reply.
+    That needs one thread in this process: a multi-threaded BLAS starts
+    its workers when it loads, and two processes whose BLAS waits on
+    workers the other keeps off the cores run slower than one.  One
+    thread also means no lock is held by a thread the child lacks.  This
+    process must not be a worker itself, and two CPUs must be usable.
     """
     try:
         threads = len(os.listdir("/proc/self/task"))
@@ -62,36 +50,45 @@ def _may_fork() -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _reply(conn, side: Callable[[], B]) -> None:
-    """The forked child's work: sends side()'s result and ru_maxrss (KiB) on
-    ``conn``, or the exception it raised."""
+def _run_from(first: int, jobs: Sequence[Callable[[], R]], taken) -> dict[int, R]:
+    """{k: jobs[k]()} for k = first, then each k the shared counter hands out."""
+    done, k = {}, first
+    while k < len(jobs):
+        done[k] = jobs[k]()
+        with taken.get_lock():
+            k = taken.value
+            taken.value += 1
+    return done
+
+
+def _reply(conn, jobs: Sequence[Callable[[], R]], taken) -> None:
+    """The child's work: sends {job: result} and ru_maxrss (KiB), or an exception."""
     try:
-        reply = (side(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        reply = (_run_from(1, jobs, taken), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     except Exception as exc:  # the parent re-raises it
         reply = exc
     conn.send(reply)
     conn.close()
 
 
-def beside(main: Callable[[], A], side: Callable[[], B]) -> tuple[A, B, str]:
-    """main() in this process and side() beside it in a forked child, where
-    ``_may_fork`` allows it; elsewhere side() after main() here.
+def share(jobs: Sequence[Callable[[], R]]) -> list[tuple[R, str]]:
+    """Each job's result and where it ran (``this process`` or ``child
+    process, peak RSS X MiB``), in job order.
 
-    Returns both results and where side() ran: ``this process`` or
-    ``child process, peak RSS X MiB``.  A child that exits without
-    replying raises RydmisError; one whose side() raised has its
-    exception re-raised here.  The child is always joined, and
-    terminated first when main() raises.
+    A child that exits without replying raises RydmisError, and a job's
+    exception in the child is re-raised here.  The child is always
+    joined, and terminated first when a job here raises.
     """
-    if not _may_fork():
-        return main(), side(), "this process"
+    if len(jobs) < 2 or not _may_fork():
+        return [(job(), "this process") for job in jobs]
     ctx = multiprocessing.get_context("fork")
+    taken = ctx.Value("l", 2)  # the next unstarted job
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_reply, args=(send, side))
+    child = ctx.Process(target=_reply, args=(send, jobs, taken))
     child.start()
     send.close()  # the child's copy is then the only one: its exit gives EOFError
     try:
-        result = main()
+        here = _run_from(0, jobs, taken)
         reply = recv.recv()
     except EOFError:
         child.join()
@@ -106,11 +103,13 @@ def beside(main: Callable[[], A], side: Callable[[], B]) -> tuple[A, B, str]:
         recv.close()
     if isinstance(reply, BaseException):
         raise reply
-    side_result, rss_kib = reply
-    return result, side_result, f"child process, peak RSS {rss_kib / 1024.0:.1f} MiB"
+    there, rss_kib = reply
+    where = f"child process, peak RSS {rss_kib / 1024.0:.1f} MiB"
+    return [(here[k], "this process") if k in here else (there[k], where)
+            for k in range(len(jobs))]
 
 
 def shared(shape: tuple[int, ...]) -> np.ndarray:
     """A zero-filled float64 array in an anonymous shared mapping: what a
-    forked side job of ``beside`` writes into it, this process reads."""
+    forked job of ``share`` writes into it, this process reads."""
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)

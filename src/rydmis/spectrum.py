@@ -8,18 +8,17 @@ scan_gap samples the sweep window uniformly and golden-section-refines
 the gap minimum below the sample resolution.  The samples form two
 warm-start chains fixed by sample index, the even samples and the odd
 ones: each chain's first solve starts cold and every later one from
-w0 + w1 of the previous sample in its own chain.  ``forks.beside`` runs
-the odd chain in a forked child while this process runs the even one,
-where the fork rule allows it, and after the even one here elsewhere;
-both chains write their rows into arrays of ``forks.shared``, and the
-profile is the same bit for bit.  The golden-section probes then
-run here, the first from w0 + w1 of the smallest sampled gap (the
-lowest index on ties) and each later one from the probe before it.  The
-refined point is inserted into the profile so downstream consumers
-(schedule synthesis, two-level reduction) see the true minimum.  Its
-cost (samples, where the odd chain ran, probes, the matvecs of both
-chains and the probes, wall time) goes to one DEBUG line of this
-module's logger.
+w0 + w1 of the previous sample in its own chain.  ``forks.share`` runs
+the even chain here and the odd one in a forked child (after the even
+one, here, where the fork rule says no); both write their rows into
+``forks.shared`` arrays, so the profile is the same bit for bit.  The
+golden-section probes then run here, the first from w0 + w1 of the
+smallest sampled gap (the lowest index on ties) and each later one from
+the probe before it.  The refined point is inserted into the profile so
+downstream consumers (schedule synthesis, two-level reduction) see the
+true minimum.  Its cost (samples, where the odd chain ran, probes, the
+matvecs of both chains and the probes, wall time) goes to one DEBUG
+line of this module's logger.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-REFINE_TOL = 1e-3  # us, width of the golden-section bracket around the gap minimum
+REFINE_TOL = 2e-4  # width of the golden-section bracket around the gap minimum, over T
 MIN_SAMPLES = 16  # scan_gap's fewest uniform samples
 
 
@@ -152,8 +151,8 @@ def scan_gap(
 
     t_span must satisfy 0 <= t_lo < t_hi <= T.  After the uniform scan
     the bracket around the smallest sampled gap is refined by golden
-    section to |dt| < REFINE_TOL and the refined point is inserted into
-    the sample arrays.
+    section to |dt| < REFINE_TOL * T and the refined point is inserted
+    into the sample arrays.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_SAMPLES}")
@@ -172,8 +171,8 @@ def scan_gap(
         return _chain(h, sched, times[parity::2],
                       [None if a is None else a[parity::2] for a in rows])
 
-    (even_warm, even_matvecs), (odd_warm, odd_matvecs), odd_where = \
-        forks.beside(partial(chain, 0), partial(chain, 1))
+    ((even_warm, even_matvecs), _), ((odd_warm, odd_matvecs), odd_where) = \
+        forks.share([partial(chain, 0), partial(chain, 1)])
     e0s, e1s, vecs0, vecs1 = rows
     i_min = int(np.argmin(e1s - e0s))
     warm = odd_warm if i_min % 2 else even_warm
@@ -193,7 +192,7 @@ def scan_gap(
     b = times[min(i_min + 1, n_samples - 1)]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    while (b - a) > REFINE_TOL:
+    while (b - a) > REFINE_TOL * sched.total_time:
         if probe_gap(c) < probe_gap(d):
             b, d = d, c
             c = b - GOLDEN * (b - a)

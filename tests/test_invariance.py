@@ -32,15 +32,13 @@ RELABEL = [3, 0, 6, 2, 5, 1, 4]
 ANGLE, SHIFT = 0.7, np.array([3.1, -1.7])
 ROTATION = np.array([[np.cos(ANGLE), -np.sin(ANGLE)], [np.sin(ANGLE), np.cos(ANGLE)]])
 SCALE = 1.5
-# Not LAM = 2: there t_min / LAM moves by 2e-4 us and g_min * LAM by 2e-8 relative,
-# because the golden-section search stops at spectrum.REFINE_TOL, an absolute time.
-LAM = 0.5
 
 
-def _rescale_time(xy, mhz):
-    """t_r, T times LAM and every frequency, C6 too, divided by LAM."""
+def _rescale_time(lam):
+    """The transform that multiplies t_r and T by lam and divides every
+    frequency, C6 too, by lam."""
     times = ("total_time_us", "ramp_time_us")
-    return xy, {k: v * LAM if k in times else v / LAM for k, v in mhz.items()}
+    return lambda xy, mhz: (xy, {k: v * lam if k in times else v / lam for k, v in mhz.items()})
 
 
 # name: (positions (n, 2) in um, PhysicalParams.from_mhz keywords) -> transformed pair
@@ -49,7 +47,8 @@ TRANSFORMS = {
     "rigid_motion": lambda xy, mhz: (xy @ ROTATION.T + SHIFT, mhz),
     "joint_scale": lambda xy, mhz: (SCALE * xy,
                                     {**mhz, "c6_mhz_um6": SCALE**6 * mhz["c6_mhz_um6"]}),
-    "time_rescale": _rescale_time,
+    "time_rescale": _rescale_time(0.5),
+    "time_rescale_x2": _rescale_time(2.0),
 }
 BASES = ("full",)
 Q1D_7 = np.asarray(builtin_instance("Q1D_7").positions)
