@@ -299,8 +299,6 @@ def cmd_sample(run: Run, args) -> int:
         "seed": hist.seed,
         "spam": None if spam is None else asdict(spam),
         "counts": dict(zip(bits, hist.counts.tolist())),
-        "p_mis": report.get("p_mis"),
-        "p_mis_minus_1": report.get("p_mis_minus_1"),
     }
     if report:
         payload["report"] = report

@@ -65,7 +65,7 @@ _GL_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 _CF4_W1 = (3.0 + 2.0 * _SQRT3) / 12.0
 _CF4_W2 = (3.0 - 2.0 * _SQRT3) / 12.0
 KNOT_TOL = 1e-12  # us: a knot this close ahead of t counts as reached
-MAX_STEP = 0.05  # us, evolve's step cap (halved by the convergence check)
+MAX_STEP = 0.01  # of T: evolve's step cap (halved by the convergence check)
 MIN_STEP = 1e-9  # us: a rejected step below this raises ConvergenceError
 DEGENERACY_TOL = 1e-6  # rad/us: diagonal entries this close form the ground space
 TWO_LEVEL_TOL = 1e-8  # evolve_two_level's local error tolerance
@@ -228,7 +228,8 @@ def _run(
     local_tol: float,
     max_step: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Counter]:
-    """One evolution from the all-ground state at n_output evenly spaced times.
+    """One evolution from the all-ground state at n_output evenly spaced times,
+    with steps of at most max_step * T.
 
     Returns (times, final psi, p_e0, p_mis, counts), with the run's steps,
     Krylov exponentials, matvecs and wall seconds in ``counts``.
@@ -250,7 +251,7 @@ def _run(
     p_e0, p_mis = np.empty((2, times.size))
     warm = None  # w0 + w1 at the previous output time
     states = _step_doubling(partial(_cf4_step, at, expm), psi, times, sched.knots, local_tol,
-                            max_step, MIN_STEP, counts)
+                            max_step * sched.total_time, MIN_STEP, counts)
     for i, psi in enumerate(states):
         try:
             p_e0[i], warm = _ground_projection(h, *at(times[i]), psi, warm)
@@ -270,7 +271,7 @@ def _cost(counts: Counter) -> str:
 
 def _check_run(h: HamiltonianTerms, sched: PulseSchedule, local_tol: float) -> tuple:
     """The convergence check's run, ``_run`` at t = 0 and T only, with a
-    quarter of the local tolerance and half the step cap."""
+    quarter of the local tolerance and half the step cap, MAX_STEP / 2 of T."""
     return _run(h, sched, np.empty(0, dtype=np.int64), 2, local_tol / 4.0, MAX_STEP / 2.0)
 
 

@@ -120,9 +120,6 @@ class AtomArray:
     def n(self) -> int:
         return len(self.positions)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "positions_um": [list(p) for p in self.positions]}
-
     @classmethod
     def from_json(cls, data: dict) -> "AtomArray":
         if not isinstance(data, dict):
@@ -136,9 +133,6 @@ class AtomArray:
             raise ValueError("instance JSON field 'positions_um' must be a list of "
                              "[x, y] number pairs") from None
         return cls(name=str(data["name"]), positions=positions)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "AtomArray":

@@ -45,6 +45,7 @@ BREAKDOWN = 1e-12  # ||w|| / ||A v|| below which the Krylov space is invariant
 ROTATE_CHUNK = 8192  # columns rotated at a time when restarting
 DGKS_RATIO = 1 / np.sqrt(2)  # norm kept by a full pass below which it is repeated
 MAX_MATVECS = 20000  # lowest_eigenpairs raises ConvergenceError beyond this many matvecs
+GROWN_BASIS = 80  # Lanczos vectors per cycle once a solve has spent MAX_MATVECS / 2
 KRYLOV_DIM = 48  # Krylov vectors before expm_lanczos splits its interval
 
 
@@ -106,11 +107,13 @@ def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_ei
 
     Thick-restart Lanczos: each cycle grows the basis to MAX_BASIS
     vectors, then keeps the KEEP lowest Ritz vectors and the residual
-    vector, so the basis never holds more than MAX_BASIS + 1 vectors.
-    The projected matrix is then diagonal on the kept Ritz vectors plus
-    one arrow row coupling them to the residual vector.  A Ritz pair is
-    converged when its residual estimate beta |y_last| is at most
-    RESIDUAL_TOL times the largest Ritz value seen.  When the Krylov
+    vector.  The projected matrix is then diagonal on the kept Ritz
+    vectors plus one arrow row coupling them to the residual vector.  A
+    solve unconverged after MAX_MATVECS / 2 matvecs goes on with
+    GROWN_BASIS vectors per cycle: short cycles stall where a wanted
+    eigenvalue sits in a cluster that is tight next to the spectrum's width.
+    A Ritz pair is converged when its residual estimate beta |y_last| is
+    at most RESIDUAL_TOL times the largest Ritz value seen.  When the Krylov
     space turns invariant before the basis spans the whole space, the
     next vector is a random one orthogonal to the basis.
 
@@ -161,7 +164,10 @@ def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_ei
         k = min(KEEP, n - 1)
         _rotate(basis, y[:, :k])
         basis[k] = basis[n]
-        proj[:] = 0.0
+        if matvecs >= MAX_MATVECS // 2 and m < min(GROWN_BASIS, dim):
+            m = min(GROWN_BASIS, dim)
+            basis = np.concatenate((basis[: k + 1], np.empty((m - k, dim))))
+        proj = np.zeros((m, m))
         proj[:k, :k] = np.diag(theta[:k])
         proj[k, :k] = proj[:k, k] = beta * y[n - 1, :k]
         restarts += 1

@@ -54,7 +54,9 @@ def test_sample_from_the_pipeline_state(pipeline_dir, tmp_path):
     assert _sample(pipeline_dir / "state.json", out) == 0
     payload = json.loads(out.read_text())
     assert sum(payload["counts"].values()) == 100
-    assert payload["report"]["p_mis"] == payload["p_mis"]
+    report = payload["report"]
+    assert report["p_mis"] == report["class_counts"]["mis"] / payload["n_shots"]
+    assert "p_mis" not in payload and "p_mis_minus_1" not in payload
 
 
 def test_shuffled_state_file_samples_the_same(pipeline_dir, tmp_path):

@@ -49,6 +49,8 @@ TRANSFORMS = {
                                     {**mhz, "c6_mhz_um6": SCALE**6 * mhz["c6_mhz_um6"]}),
     "time_rescale": _rescale_time(0.5),
     "time_rescale_x2": _rescale_time(2.0),
+    "time_rescale_quarter": _rescale_time(0.25),
+    "time_rescale_x4": _rescale_time(4.0),
 }
 BASES = ("full",)
 Q1D_7 = np.asarray(builtin_instance("Q1D_7").positions)

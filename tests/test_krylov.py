@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rydmis import assemble, krylov
+from rydmis import AtomArray, assemble, blockade_graph, build_basis, hamiltonian_terms, krylov
 
 
 def test_restarted_basis_stays_orthonormal(params, q1d10):
@@ -21,6 +21,27 @@ def test_restarted_basis_stays_orthonormal(params, q1d10):
     q = bases[-1]
     assert q.shape == (krylov.MAX_BASIS + 1, h.dim)
     assert np.linalg.norm(q @ q.conj().T - np.eye(len(q)), 2) <= 1e-12
+
+
+def test_a_stiff_spectrum_converges_on_the_grown_basis(params):
+    # atoms 3 and 5 sit 1 um apart, so the full basis spans about 5.7e6 rad/us,
+    # while at delta_f E1 and E2 lie 0.13 rad/us apart; with MAX_BASIS vectors
+    # per cycle this solve needs about 33,000 matvecs
+    arr = AtomArray("stiff", ((6.0, 0.5), (15.0, 11.5), (6.5, 18.0), (16.0, 10.0),
+                              (7.5, 18.0), (7.5, 10.0), (6.5, 14.0), (6.5, 2.5)))
+    g = blockade_graph(arr, params)
+    matrix = assemble(hamiltonian_terms(g, build_basis(g, "full")), params.omega0,
+                      params.delta_f)
+    rows = set()
+
+    def matvec(x):
+        rows.add(len(x.base))  # x is a row of the solver's basis
+        return matrix @ x
+
+    vals, _ = krylov.lowest_eigenpairs(matvec, 256, 2)
+    lam = np.linalg.eigvalsh(np.column_stack([matrix @ e for e in np.eye(256)]))
+    assert rows == {krylov.MAX_BASIS + 1, krylov.GROWN_BASIS + 1}
+    assert np.abs(vals - lam[:2]).max() <= 1e-9 * np.abs(lam).max()
 
 
 def test_cancelling_pass_is_repeated():
