@@ -8,6 +8,9 @@ once, on first use, so a ``pipeline`` over a ``j_grid`` scans the gap
 once (``gap.csv``) and evolves its schedules, as fig3b its five drives,
 through one ``evolve_all``.  With BLAS on one thread (see ``rydmis``),
 the scan's and the evolutions' jobs are shared with a forked child.
+Each stage's subcommand writes its pipeline file byte for byte; ``sample``
+takes the pipeline's defaults and writes ``histogram_report``'s keys then
+``counts`` (without ``--instance``: ``n_shots``, ``seed``, ``spam``, ``counts``).
 
 Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
 The global ``-v`` writes the ``rydmis`` loggers' DEBUG lines (solver and
@@ -40,7 +43,6 @@ from .dynamics import (
 )
 from .errors import RydmisError
 from .geometry import (
-    BUILTIN_NAMES,
     STOCK_MHZ,
     AtomArray,
     BlockadeGraph,
@@ -48,6 +50,7 @@ from .geometry import (
     blockade_graph,
     builtin_instance,
     from_mhz,
+    is_builtin_name,
     to_mhz,
 )
 from .hamiltonian import HamiltonianTerms, build_basis, hamiltonian_terms
@@ -64,11 +67,9 @@ PHYSICAL = tuple(STOCK_MHZ)
 
 
 def load_instance(ref: str) -> AtomArray:
-    """The built-in of a table name or Q1D_<n>, even where a file of that
-    name exists; any other reference is the path of an instance JSON file."""
-    if ref in BUILTIN_NAMES or (ref.startswith("Q1D_") and ref[len("Q1D_"):].isdecimal()):
-        return builtin_instance(ref)
-    return AtomArray.load(ref)
+    """The built-in of a built-in name, even where a file of that name
+    exists; any other reference is the path of an instance JSON file."""
+    return builtin_instance(ref) if is_builtin_name(ref) else AtomArray.load(ref)
 
 
 @dataclass
@@ -167,9 +168,12 @@ class Run:
         return PhysicalParams.from_mhz(**{name: getattr(self.cfg, name) for name in PHYSICAL})
 
     @cached_property
+    def atoms(self) -> AtomArray:
+        return load_instance(self.cfg.instance)
+
+    @cached_property
     def graph(self) -> BlockadeGraph:
-        return blockade_graph(load_instance(self.cfg.instance), self.params,
-                              require_mis_encoding=True)
+        return blockade_graph(self.atoms, self.params, require_mis_encoding=True)
 
     @cached_property
     def terms(self) -> HamiltonianTerms:
@@ -228,22 +232,31 @@ def _write_json(path: Path, data, indent: int | None = 2) -> None:
     Path(path).write_text(json.dumps(data, indent=indent) + "\n")
 
 
+def _census(arr: AtomArray, g: BlockadeGraph) -> dict:
+    """What `isets` prints and the manifest records as ``instance_stats``."""
+    stats = count_isets(g)
+    return {"instance": arr.name, "n": g.n, "edges": len(g.edges),
+            "r": {str(k): v for k, v in sorted(stats.r.items())},
+            "mis_size": stats.mis_size, "hp": stats.hp}
+
+
+def _write_shots(path, cfg, state, graph) -> dict:
+    """Write the shot file of state, of the shape the module docstring gives, and return it."""
+    spam = SpamModel() if cfg.spam else None
+    hist = sample_shots(state, cfg.shots, spam=spam, seed=cfg.seed)
+    shots = histogram_report(hist, graph) if graph is not None else {
+        "n_shots": hist.n_shots, "seed": hist.seed, "spam": None if spam is None else asdict(spam)}
+    bits = configs_to_bits(hist.configs, hist.n_atoms)  # at the file boundary only
+    shots["counts"] = dict(zip(bits, hist.counts.tolist()))
+    _write_json(path, shots)
+    return shots
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_isets(run: Run, args) -> int:
-    arr = load_instance(run.cfg.instance)
-    g = blockade_graph(arr, run.params)
-    stats = count_isets(g)
-    out = {
-        "instance": arr.name,
-        "n": g.n,
-        "edges": len(g.edges),
-        "r": {str(k): v for k, v in sorted(stats.r.items())},
-        "mis_size": stats.mis_size,
-        "hp": stats.hp,
-    }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(_census(run.atoms, blockade_graph(run.atoms, run.params)), indent=2))
     return 0
 
 
@@ -287,23 +300,10 @@ def cmd_twolevel(run: Run, args) -> int:
 
 
 def cmd_sample(run: Run, args) -> int:
-    cfg = run.cfg
     state = QuantumState.from_json(json.loads(Path(args.state).read_text()))
-    spam = SpamModel() if cfg.spam else None
-    graph = blockade_graph(load_instance(cfg.instance), run.params) if cfg.instance else None
-    hist = sample_shots(state, cfg.shots, spam=spam, seed=cfg.seed)
-    report = {} if graph is None else histogram_report(hist, graph)
-    bits = configs_to_bits(hist.configs, hist.n_atoms)  # at the file boundary only
-    payload = {
-        "n_shots": hist.n_shots,
-        "seed": hist.seed,
-        "spam": None if spam is None else asdict(spam),
-        "counts": dict(zip(bits, hist.counts.tolist())),
-    }
-    if report:
-        payload["report"] = report
-    _write_json(args.out, payload)
-    print(f"{cfg.shots} shots -> {args.out}")
+    graph = blockade_graph(run.atoms, run.params) if run.cfg.instance else None
+    _write_shots(args.out, run.cfg, state, graph)
+    print(f"{run.cfg.shots} shots -> {args.out}")
     return 0
 
 
@@ -319,10 +319,6 @@ def cmd_export_ahs(run: Run, args) -> int:
 # ------------------------------------------------------------------ pipeline
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _pipeline_run(run, out_dir, tag, j, sched, res) -> dict:
     """The files and manifest entry of exponent j's schedule and evolution result."""
     cfg = run.cfg
@@ -332,16 +328,13 @@ def _pipeline_run(run, out_dir, tag, j, sched, res) -> dict:
     sched.save(out_dir / artifacts["schedule_json"])
     _write_csv(out_dir / artifacts["evolution_csv"], _evolution_columns(res))
     _write_json(out_dir / artifacts["state_json"], res.final_state.to_json(), indent=None)
-    spam = SpamModel() if cfg.spam else None
-    hist = sample_shots(res.final_state, cfg.shots, spam=spam, seed=cfg.seed)
-    report = histogram_report(hist, run.graph)
-    _write_json(out_dir / artifacts["histogram_json"], report)
+    shots = _write_shots(out_dir / artifacts["histogram_json"], cfg, res.final_state, run.graph)
     return {
         "tag": tag or "run",
         "j": j,
         "final_p_e0": res.final_p_e0,
         "final_p_mis": res.final_p_mis,
-        "p_mis_sampled": report["p_mis"],
+        "p_mis_sampled": shots["p_mis"],
         "artifacts": artifacts,
     }
 
@@ -349,7 +342,7 @@ def _pipeline_run(run, out_dir, tag, j, sched, res) -> dict:
 def cmd_pipeline(run: Run, args) -> int:
     cfg, out_dir = run.cfg, Path(args.out_dir)
     # graph, schedules and evolutions reject a bad setting before anything is written
-    stats = count_isets(run.graph)
+    census = _census(run.atoms, run.graph)
     js = cfg.j_grid or [cfg.j]
     scheds = [run.schedule(j) for j in js]
     results = run.evolve(*scheds)
@@ -361,9 +354,10 @@ def cmd_pipeline(run: Run, args) -> int:
 
     manifest = {
         "config": asdict(cfg),
-        "instance_stats": {"mis_size": stats.mis_size, "hp": stats.hp},
+        "instance_stats": census,
         "runs": runs,
-        "hashes": {n: _sha256(out_dir / n) for r in runs for n in r["artifacts"].values()},
+        "hashes": {n: hashlib.sha256((out_dir / n).read_bytes()).hexdigest()
+                   for r in runs for n in r["artifacts"].values()},
     }
     _write_json(out_dir / "manifest.json", manifest)
     for r in runs:
@@ -543,10 +537,13 @@ SUBCOMMANDS = {
     "twolevel": (cmd_twolevel, "two-level reduction series (CSV)", ONE_SCHEDULE),
     "design": (cmd_design, "synthesize and export a schedule",
                {**ONE_SCHEDULE, "method": REQUIRED}),
-    "sample": (cmd_sample, "draw measurement shots from a state file", {
-        "--state": REQUIRED, "--out": REQUIRED, "shots": REQUIRED, "spam": {},
-        "seed": {"default": 0}, **PHYS,
-        "instance": {"default": None, "help": "classify shots against this instance's graph"}}),
+    "sample": (cmd_sample, "draw measurement shots from a state file, on the pipeline's "
+               "defaults", {
+                   "--state": REQUIRED, "shots": {}, "spam": {}, "seed": {}, **PHYS,
+                   "--out": {**REQUIRED, "help": "shot file: the histogram report's keys "
+                             "then counts, or without --instance n_shots, seed, spam, counts"},
+                   "instance": {"default": None,
+                                "help": "classify shots against this instance's graph"}}),
     # a flag left out keeps the --config file's value
     "pipeline": (cmd_pipeline, "instance -> gap -> schedule -> evolution -> histogram, "
                  "with manifest", {
@@ -576,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     base = RunConfig()
     for name, (func, helptext, flags) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=helptext)
+        sp = sub.add_parser(name, help=helptext, description=helptext)
         sp.set_defaults(func=func)
         for key, overrides in flags.items():
             if key.startswith("--"):

@@ -15,6 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 _ZERO = ord("0")
+MAX_ATOMS = 63  # a configuration is an int64, whose bit 63 is the sign
 
 
 def atom_bit(n: int, v: int) -> int:
@@ -23,13 +24,15 @@ def atom_bit(n: int, v: int) -> int:
 
 
 def _place_values(n: int) -> np.ndarray:
+    if n > MAX_ATOMS:
+        raise ValueError(f"{n} atoms: a configuration holds at most {MAX_ATOMS}")
     return np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def bits_to_configs(bits: Sequence[str], n: int) -> np.ndarray:
     """Configurations of n-atom bitstrings, as an int64 array.
 
-    Raises ValueError for a string that is not n characters of 0 and 1.
+    Raises ValueError for a string that is not n 0/1 characters, or n > MAX_ATOMS.
     """
     lengths = np.fromiter(map(len, bits), dtype=np.int64, count=len(bits))
     if np.any(lengths != n):

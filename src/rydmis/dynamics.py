@@ -92,16 +92,20 @@ class QuantumState:
     @classmethod
     def from_json(cls, data: dict) -> "QuantumState":
         """State of a to_json dict, whose entries may come in any order."""
-        n, entries = int(data["n"]), data["entries"]
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not (isinstance(entries, list) and isinstance(data.get("n"), int) and all(
+                isinstance(e, dict) and isinstance(e.get("bits"), str)
+                and all(isinstance(e.get(k), (int, float)) for k in ("re", "im"))
+                for e in entries)):
+            raise ValueError("state file must be an object with an integer 'n' and a list of "
+                             "'entries': bits must be strings, and re and im must be numbers")
+        n = data["n"]
         configs = bits_to_configs([e["bits"] for e in entries], n)
         states, first, counts = np.unique(configs, return_index=True, return_counts=True)
         if np.any(counts > 1):
             bits = configs_to_bits(states[counts > 1][:1], n)[0]
             raise ValueError(f"state file lists configuration {bits} more than once")
-        try:
-            amps = np.array([complex(e["re"], e["im"]) for e in entries])
-        except TypeError:
-            raise ValueError("state file amplitude re and im must be numbers") from None
+        amps = np.array([complex(e["re"], e["im"]) for e in entries])
         basis = BasisSet(kind=str(data.get("kind", "custom")), n=n, states=states)
         return cls(basis=basis, amplitudes=amps[first])
 

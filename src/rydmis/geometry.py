@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .configs import MAX_ATOMS
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +111,8 @@ class AtomArray:
     positions: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        if self.n > MAX_ATOMS:
+            raise ValueError(f"{self.n} atoms: an instance holds at most {MAX_ATOMS}")
         finite = np.isfinite(np.asarray(self.positions, dtype=float)).reshape(self.n, 2).all(1)
         if not finite.all():
             raise ValueError(f"atom {np.argmin(finite) + 1} has a non-finite coordinate")
@@ -228,8 +233,12 @@ _TABLES: dict[str, tuple[tuple[float, float], ...]] = {
     "Qp1D_23": _QP1D_23,
 }
 
-BUILTIN_NAMES = tuple(_TABLES)
 KPXP_SPACING_UM = 8.0  # nearest-neighbour spacing of the published zigzag chains
+
+
+def is_builtin_name(name: str) -> bool:
+    """A table name, or Q1D_<n> as generate_kpxp_chain writes it: ASCII digits, no 0 prefix."""
+    return name in _TABLES or re.fullmatch("Q1D_(0|[1-9][0-9]*)", name) is not None
 
 
 def builtin_instance(name: str) -> AtomArray:
@@ -241,14 +250,10 @@ def builtin_instance(name: str) -> AtomArray:
     """
     if name in _TABLES:
         return AtomArray(name=name, positions=_TABLES[name])
-    if name.startswith("Q1D_"):
-        try:
-            n = int(name[len("Q1D_"):])
-        except ValueError:
-            raise ValueError(f"unknown instance {name!r}") from None
-        return generate_kpxp_chain(n)
+    if is_builtin_name(name):
+        return generate_kpxp_chain(int(name[len("Q1D_"):]))
     raise ValueError(
-        f"unknown instance {name!r}; built-ins are {', '.join(BUILTIN_NAMES)} "
+        f"unknown instance {name!r}; built-ins are {', '.join(_TABLES)} "
         "or Q1D_<n> for a generated chain"
     )
 

@@ -17,6 +17,7 @@ import rydmis.forks
 import rydmis.isets
 from rydmis import PhysicalParams, PulseSchedule, fit_eta_polynomials, standard_schedule
 from rydmis.cli import main
+from rydmis.geometry import builtin_instance, is_builtin_name
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -37,9 +38,9 @@ def _hashes_hold(out_dir: Path) -> bool:
                for name, digest in manifest["hashes"].items())
 
 
-def _sample(state_path, out_path) -> int:
+def _sample(state_path, out_path, instance=("--instance", "Q1D_4")) -> int:
     return main(["sample", "--state", str(state_path), "--shots", "100", "--spam",
-                 "--seed", "3", "--instance", "Q1D_4", "--out", str(out_path)])
+                 "--seed", "3", *instance, "--out", str(out_path)])
 
 
 def test_pipeline_writes_a_verifiable_manifest(pipeline_dir):
@@ -50,13 +51,37 @@ def test_pipeline_writes_a_verifiable_manifest(pipeline_dir):
 
 
 def test_sample_from_the_pipeline_state(pipeline_dir, tmp_path):
-    out = tmp_path / "shots.json"
+    out, bare = tmp_path / "shots.json", tmp_path / "bare.json"
     assert _sample(pipeline_dir / "state.json", out) == 0
-    payload = json.loads(out.read_text())
+    assert _sample(pipeline_dir / "state.json", bare, instance=()) == 0
+    payload, bare_payload = json.loads(out.read_text()), json.loads(bare.read_text())
     assert sum(payload["counts"].values()) == 100
-    report = payload["report"]
-    assert report["p_mis"] == report["class_counts"]["mis"] / payload["n_shots"]
-    assert "p_mis" not in payload and "p_mis_minus_1" not in payload
+    assert payload["p_mis"] == payload["class_counts"]["mis"] / payload["n_shots"]
+    assert "report" not in payload and list(payload)[-1] == "counts"
+    assert list(bare_payload) == ["n_shots", "seed", "spam", "counts"]
+    assert all(bare_payload[key] == payload[key] for key in bare_payload)
+
+
+# pipeline file: the subcommand that writes it alone, on the pipeline_dir run's flags
+STAGES = {
+    "gap.csv": ["gap", "--schedule", "std", "--samples", "20"],
+    "schedule.json": ["design", "--method", "adglb", "--samples", "20"],
+    "evolution.csv": ["evolve", "--schedule", "adglb", "--samples", "20",
+                      "--state-out", "{tmp}/state.json"],
+    "histogram.json": ["sample", "--shots", "50", "--state", "{pipeline}/state.json"],
+}
+
+
+def test_each_stage_writes_its_pipeline_file(pipeline_dir, tmp_path, capsys):
+    for name, argv in STAGES.items():
+        argv = [a.format(tmp=tmp_path, pipeline=pipeline_dir) for a in argv]
+        assert main([*argv, "--instance", "Q1D_4", "--out", str(tmp_path / name)]) == 0
+    for name in (*STAGES, "state.json"):
+        assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+    capsys.readouterr()
+    assert main(["isets", "--instance", "Q1D_4"]) == 0
+    manifest = json.loads((pipeline_dir / "manifest.json").read_text())
+    assert json.loads(capsys.readouterr().out) == manifest["instance_stats"]
 
 
 def test_shuffled_state_file_samples_the_same(pipeline_dir, tmp_path):
@@ -70,10 +95,11 @@ def test_shuffled_state_file_samples_the_same(pipeline_dir, tmp_path):
 
 
 @pytest.mark.parametrize("defect", ["duplicate", "length", "non_binary", "amplitude",
-                                    "null_amplitude"])
+                                    "null_amplitude", "bits_number", "array", "too_wide"])
 def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
     data = json.loads((pipeline_dir / "state.json").read_text())
     entries = data["entries"]
+    instance = ("--instance", "Q1D_4")
     if defect == "duplicate":
         # split one amplitude over two entries, so the norm stays 1
         half = {**entries[0], "re": entries[0]["re"] / 2**0.5, "im": entries[0]["im"] / 2**0.5}
@@ -83,15 +109,34 @@ def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
         entries[1]["bits"] += "0"
     elif defect == "non_binary":
         entries[1]["bits"] = "2" + entries[1]["bits"][1:]
+    elif defect == "bits_number":
+        entries[1]["bits"] = 5
+    elif defect == "array":
+        data = entries
+    elif defect == "too_wide":
+        # without a graph nothing else checks the width; int64 has 63 bits below the sign
+        data = {"n": 70, "kind": "full", "entries": [{"bits": "1" + "0" * 69, "re": 1.0,
+                                                      "im": 0.0}]}
+        instance = ()
     else:
         entries[1]["re"] = "abc" if defect == "amplitude" else None
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    assert _sample(bad, tmp_path / "out.json") == 1
+    assert _sample(bad, tmp_path / "out.json", instance) == 1
     message = {"duplicate": "more than once", "length": "length", "non_binary": "0 and 1",
-               "amplitude": "must be numbers", "null_amplitude": "must be numbers"}
+               "amplitude": "must be numbers", "null_amplitude": "must be numbers",
+               "bits_number": "bits must be strings", "array": "must be an object",
+               "too_wide": "at most 63"}
     err = capsys.readouterr().err
     assert err.startswith("error:") and message[defect] in err
+
+
+@pytest.mark.parametrize("bits", ["1" + "0" * 62, "1" * 63, "0" * 62 + "1"])
+def test_a_63_atom_state_file_samples_its_bits(tmp_path, bits):
+    state, out = tmp_path / "state.json", tmp_path / "shots.json"
+    state.write_text(json.dumps({"n": 63, "entries": [{"bits": bits, "re": 0.0, "im": 1.0}]}))
+    assert main(["sample", "--state", str(state), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["counts"] == {bits: 300}
 
 
 def _csv(path):
@@ -175,6 +220,42 @@ def test_a_path_named_like_a_builtin_does_not_hide_it(tmp_path, monkeypatch, cap
     for name, n in (("Q1D_4", 4), ("Q1D_10", 10)):
         assert main(["isets", "--instance", name]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == n
+
+
+# the names of one rule: geometry's builtin_instance makes exactly these, and the
+# CLI reads every other reference as a file path
+BUILTIN = ["Q1D_10", "TD_25", "TH_37", "Qp1D_23", "Q1D_4", "Q1D_7", "Q1D_12"]
+NOT_BUILTIN = ["Q1D_1_0", "Q1D_ 7", "Q1D_+7", "Q1D_07", "Q1D_-7", "Q1D_7 ", "Q1D_\u0667",
+               "q1d_7", "Q1D_", "TD_25.json"]
+
+
+@pytest.mark.parametrize("name", BUILTIN + NOT_BUILTIN)
+def test_one_rule_names_the_builtins(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps({"name": "file", "positions_um": [[0, 0], [8, 0]]}))
+    assert is_builtin_name(name) == (name in BUILTIN)
+    if name in BUILTIN:
+        assert builtin_instance(name).name == name
+    else:
+        with pytest.raises(ValueError, match="unknown instance"):
+            builtin_instance(name)
+    assert main(["isets", "--instance", name]) == 0
+    printed = json.loads(capsys.readouterr().out)["instance"]
+    assert printed == (name if name in BUILTIN else "file")
+
+
+@pytest.mark.parametrize("shape, code", [((8, 8), 1), ((7, 9), 0)], ids=["64", "63"])
+def test_an_instance_holds_at_most_63_atoms(tmp_path, capsys, shape, code):
+    # 1 um apart, every pair but the two far corners blockades
+    grid = [[x, y] for x in range(shape[0]) for y in range(shape[1])]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"name": "grid", "positions_um": grid}))
+    assert main(["isets", "--instance", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error:") and "at most 63" in err
+    else:
+        assert json.loads(out)["mis_size"] == 2
 
 
 @pytest.mark.parametrize("missing", ["name", "positions_um"])

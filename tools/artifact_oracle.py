@@ -51,6 +51,9 @@ COMMANDS = [
                          "--out-dir", "{out}/pipeline_j_grid"]),
     ("sample", ["sample", "--instance", "Q1D_7", "--spam", "--seed", "3", "--shots", "300",
                 "--state", "{out}/pipeline/state.json", "--out", "{out}/sample.json"]),
+    # on its defaults only, so a change to them shows
+    ("sample defaults", ["sample", "--instance", "Q1D_7", "--state", "{out}/pipeline/state.json",
+                         "--out", "{out}/sample_defaults.json"]),
     ("twolevel", ["twolevel", "--instance", "Q1D_10", "--out", "{out}/twolevel.csv"]),
     ("evolve", ["evolve", "--instance", "Q1D_10", "--schedule", "transfer", "--n-output", "20",
                 "--out", "{out}/evolve.csv", "--state-out", "{out}/evolve_state.json"]),
