@@ -300,6 +300,10 @@ def cmd_twolevel(run: Run, args) -> int:
 
 
 def cmd_sample(run: Run, args) -> int:
+    given = [name for name in PHYSICAL if name in vars(args)]
+    if given and not run.cfg.instance:
+        raise ValueError(f"--{given[0].replace('_', '-')} shapes the instance's graph: "
+                         "give it with --instance")
     state = QuantumState.from_json(json.loads(Path(args.state).read_text()))
     graph = blockade_graph(run.atoms, run.params) if run.cfg.instance else None
     _write_shots(args.out, run.cfg, state, graph)
@@ -539,7 +543,8 @@ SUBCOMMANDS = {
                {**ONE_SCHEDULE, "method": REQUIRED}),
     "sample": (cmd_sample, "draw measurement shots from a state file, on the pipeline's "
                "defaults", {
-                   "--state": REQUIRED, "shots": {}, "spam": {}, "seed": {}, **PHYS,
+                   "--state": REQUIRED, "shots": {}, "spam": {}, "seed": {},
+                   **dict.fromkeys(PHYSICAL, {"default": argparse.SUPPRESS}),
                    "--out": {**REQUIRED, "help": "shot file: the histogram report's keys "
                              "then counts, or without --instance n_shots, seed, spam, counts"},
                    "instance": {"default": None,

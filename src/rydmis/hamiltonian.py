@@ -26,9 +26,10 @@ operator of Weinberg & Bukov (QuSpin, SciPost Phys. 2, 003, 2017).
 A basis is one strictly ascending int64 array of configurations
 (``BasisSet.states``) that holds each of its states with any one atom
 cleared, so per atom one XOR and one binary search find every flip pair
-from its occupied end.  The pairs fill a (dim, n) table of each state's
-single-flip partners, and sorted row by row its entries are the CSR rows
-of ``sx`` (Sandvik, AIP Conf. Proc. 1297, 135, 2010).  No code here
+from its occupied end.  The pairs fill an atom-major (n, dim) table of
+each state's single-flip partners, one contiguous row per atom; sorted
+column by column and read state by state, its entries are the CSR rows of
+``sx`` (Sandvik, AIP Conf. Proc. 1297, 135, 2010).  No code here
 loops over basis states.
 """
 
@@ -166,8 +167,9 @@ def hamiltonian_terms(
 ) -> HamiltonianTerms:
     n, states, dim = g.n, basis.states, basis.dim
 
-    # partner[s, v]: position of state s with atom v flipped, -1 outside the basis
-    partner = np.full((dim, n), -1, dtype=np.int32)
+    # partner[v, s]: position of state s with atom v flipped, -1 outside the basis;
+    # atom-major, so each atom's writes land in one contiguous row
+    partner = np.full((n, dim), -1, dtype=np.int32)
     for v in range(n):
         bit = atom_bit(n, v)
         upper = np.flatnonzero(states & bit)
@@ -176,12 +178,13 @@ def hamiltonian_terms(
         if not np.array_equal(states[lower], cleared):
             raise ValueError(f"a basis state lacks its atom-{v}-cleared partner: "
                              "the basis must hold each state with any one atom cleared")
-        partner[lower, v] = upper
-        partner[upper, v] = lower
-    partner.sort(axis=1)  # each row's partners ascend after its -1 entries: CSR order
+        partner[v, lower] = upper
+        partner[v, upper] = lower
+    partner.sort(axis=0)  # each state's partners ascend after its -1 entries: CSR order
     linked = partner >= 0
-    indices = partner[linked]
-    indptr = np.concatenate(([0], np.cumsum(linked.sum(axis=1))))
+    indptr = np.concatenate(([0], np.cumsum(linked.sum(axis=0))))
+    indices = partner.T[linked.T]  # state by state
+    del partner, linked  # before data is allocated
     sx = csr_matrix((np.full(indices.size, 0.5), indices, indptr), shape=(dim, dim))
 
     zdiag = n / 2.0 - np.bitwise_count(states)

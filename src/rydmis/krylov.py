@@ -8,10 +8,16 @@ callable and never as a matrix, and both grow the basis by w = A basis[j]:
   Matrix Anal. Appl. 22, 2000) for the lowest eigenpairs of a real
   symmetric operator, on the ``@`` of a ``hamiltonian.assemble`` operator.
   A restart rotates the basis onto Ritz vectors, which needs it
-  orthonormal, so ``_orthogonalize`` removes the last two rows from w,
-  then the whole basis by classical Gram-Schmidt, repeated when that
-  cancels most of w (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
-  1976: ||w|| below DGKS_RATIO of its norm before the pass).  The basis
+  orthonormal.  Every step removes the last two rows from w; the full
+  classical Gram-Schmidt pass of ``_full_pass`` over the whole basis,
+  repeated when it cancels most of w (Daniel, Gragg, Kaufman & Stewart,
+  Math. Comp. 30, 1976: ||w|| below DGKS_RATIO of its norm before the
+  pass), runs only where partial reorthogonalization asks for it (Simon,
+  Math. Comp. 42, 1984): on a cycle's first step, which meets the arrow
+  row, on a step where ``_omega_bounds``, Simon's omega-recurrence taken
+  in absolute value, bounds some |q_i . q_(j+1)| above OMEGA_TOL, and on
+  the step after that.  The textbook threshold sqrt(eps) is far too loose
+  here: each restart builds its Ritz vectors from the basis.  The basis
   and w are float64, so each pass is two real matrix-vector products.
 - ``expm_lanczos``, the Krylov exponential exp(-i tau A) v (Saad, SIAM
   J. Numer. Anal. 29, 1992) in at most KRYLOV_DIM vectors, for the CF4
@@ -26,10 +32,11 @@ callable and never as a matrix, and both grow the basis by w = A basis[j]:
 from __future__ import annotations
 
 import logging
+import math
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import zaxpy
+from scipy.linalg.blas import dgemv, zaxpy
 from scipy.linalg.lapack import dstev
 
 from .errors import ConvergenceError
@@ -44,16 +51,19 @@ START_SEED = 20000  # seed of that component, so every solve is reproducible
 BREAKDOWN = 1e-12  # ||w|| / ||A v|| below which the Krylov space is invariant
 ROTATE_CHUNK = 8192  # columns rotated at a time when restarting
 DGKS_RATIO = 1 / np.sqrt(2)  # norm kept by a full pass below which it is repeated
+OMEGA_TOL = 1e-13  # bound on |q_i . q_(j+1)| above which a step takes a full pass
+ROUNDING = 4 * np.finfo(float).eps  # rounding a step adds to q_i . w, per unit of ||A q_j||
 MAX_MATVECS = 20000  # lowest_eigenpairs raises ConvergenceError beyond this many matvecs
-GROWN_BASIS = 80  # Lanczos vectors per cycle once a solve has spent MAX_MATVECS / 2
+GROWN_BASIS = 80  # Lanczos vectors per cycle once a solve stalls
+STALL_RESTARTS = 20  # a solve stalls when this many restarts fail to halve its residual
 KRYLOV_DIM = 48  # Krylov vectors before expm_lanczos splits its interval
 
 
 def _project_out(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One classical Gram-Schmidt pass: subtract from the real w, in place,
-    its components q w along the real rows of q, and return them."""
+    """One classical Gram-Schmidt pass: subtract from the real contiguous w, in
+    place, its components q w along the real rows of q, and return them."""
     c = q @ w
-    w -= c @ q
+    dgemv(-1.0, q.T, c, 1.0, w, overwrite_y=True)  # w -= q^T c with no temporary
     return c
 
 
@@ -64,6 +74,14 @@ def _orthogonalize(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, boo
     ||w|| and whether the DGKS repeat of the full pass ran.
     """
     local = _project_out(q[-2:], w)
+    c, norm, repeated = _full_pass(q, w)
+    c[-2:] += local
+    return c, norm, repeated
+
+
+def _full_pass(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Classical Gram-Schmidt of w against all of q, repeated when it cancels
+    most of w; returns the summed coefficients, ||w|| and whether it repeated."""
     before = w @ w  # squared norms: a dot product costs less than linalg.norm
     c = _project_out(q, w)
     after = w @ w
@@ -71,8 +89,30 @@ def _orthogonalize(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, boo
     if repeated:
         c += _project_out(q, w)
         after = w @ w
-    c[-2:] += local
-    return c, float(np.sqrt(after)), repeated
+    return c, math.sqrt(after), repeated
+
+
+def _omega_bounds(omega: np.ndarray, coupling: np.ndarray, alphas: np.ndarray, j: int,
+                  c_prev: float, alpha: float, beta: float, noise: float) -> float:
+    """Bound |q_i . q_(j+1)|, i <= j, after step j's two-row pass; return the largest.
+
+    Simon's omega-recurrence taken in absolute value over the projected
+    matrix T, arrow row included: the pass subtracted c_(j-1) q_(j-1) and
+    alpha_j q_j from A q_j, so beta_(j+1) omega_(j+1) <= |T - alpha_j| omega_j
+    + |c_(j-1)| omega_(j-1) + noise, except on q_(j-1), where it leaves
+    |alpha_j| omega_(j, j-1) + noise.  coupling holds T's off-diagonal
+    entries in absolute value, and this writes |alphas - alpha_j| on its
+    diagonal, alphas being T's.  Writes the bounds into row j + 1 of omega.
+    """
+    np.abs(alphas - alpha, out=coupling.ravel()[:: len(coupling) + 1])
+    prev, r = omega[j - 1 : j + 1, : j + 1]
+    t = coupling[: j + 1, : j + 1] @ r
+    t += abs(c_prev) * prev
+    t[j - 1] = abs(alpha) * r[j - 1]
+    t += noise
+    row = omega[j + 1, : j + 1]
+    np.multiply(t, 1.0 / beta, out=row)
+    return np.maximum.reduce(row)
 
 
 def _start_vector(dim: int, v0: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
@@ -109,8 +149,8 @@ def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_ei
     vectors, then keeps the KEEP lowest Ritz vectors and the residual
     vector.  The projected matrix is then diagonal on the kept Ritz
     vectors plus one arrow row coupling them to the residual vector.  A
-    solve unconverged after MAX_MATVECS / 2 matvecs goes on with
-    GROWN_BASIS vectors per cycle: short cycles stall where a wanted
+    solve whose residual has not halved in STALL_RESTARTS restarts goes on
+    with GROWN_BASIS vectors per cycle: short cycles stall where a wanted
     eigenvalue sits in a cluster that is tight next to the spectrum's width.
     A Ritz pair is converged when its residual estimate beta |y_last| is
     at most RESIDUAL_TOL times the largest Ritz value seen.  When the Krylov
@@ -127,30 +167,55 @@ def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_ei
     basis = np.empty((m + 1, dim))
     basis[0] = start / np.linalg.norm(start)
     proj = np.zeros((m, m))  # real: alphas, betas and arrow couplings are real
-    k = matvecs = restarts = repeats = 0
-    anorm = 0.0
+    omega = np.zeros((m + 1, m + 1))  # omega[j, i] bounds |basis[j] . basis[i]|, i < j
+    k = matvecs = restarts = repeats = passes = 0
+    anorm = scale = 0.0  # largest |Ritz value|, largest ||A q_j||
+    residuals = []
     while True:
         n = min(m, k + MAX_MATVECS - matvecs)
         beta = 0.0
+        forced = True  # the cycle's first step meets the arrow row
         for j in range(k, n):
-            w = np.asarray(matvec(basis[j]), dtype=basis.dtype)
-            c, beta, repeated = _orthogonalize(basis[: j + 1], w)
+            w = np.ascontiguousarray(matvec(basis[j]), dtype=basis.dtype)
             matvecs += 1
-            repeats += repeated
-            proj[j, j] = c[j]
-            if beta <= BREAKDOWN * np.hypot(np.linalg.norm(c), beta):
-                beta = 0.0
-                if j + 1 == dim:
-                    break
-                w = rng.standard_normal(dim)
-                _, norm, repeated = _orthogonalize(basis[: j + 1], w)
+            exceeded = False
+            if not forced:
+                local = _project_out(basis[j - 1 : j + 1], w)
+                c_prev, alpha = local.tolist()
+                beta = norm = math.sqrt(w @ w)
+                scale = max(scale, math.hypot(c_prev, alpha, beta))
+                exceeded = beta <= BREAKDOWN * scale or _omega_bounds(
+                    omega, coupling, alphas, j, c_prev, alpha, beta, ROUNDING * scale) > OMEGA_TOL
+            if forced or exceeded:
+                if exceeded:  # the two-row pass has run
+                    c, beta, repeated = _full_pass(basis[: j + 1], w)
+                    c[-2:] += local
+                else:
+                    c, beta, repeated = _orthogonalize(basis[: j + 1], w)
+                alpha, norm = float(c[j]), beta
+                passes += 1
                 repeats += repeated
-                w /= norm
-            else:
-                w /= beta
+                aq = math.hypot(math.sqrt(c @ c), beta)
+                scale = max(scale, aq)
+                if beta <= BREAKDOWN * aq:
+                    beta = 0.0
+                    if j + 1 == dim:
+                        proj[j, j] = alpha
+                        break
+                    w = rng.standard_normal(dim)
+                    _, norm, repeated = _orthogonalize(basis[: j + 1], w)
+                    repeats += repeated
+                    exceeded = True
+                omega[j + 1, : j + 1] = ROUNDING / DGKS_RATIO  # what a full pass leaves
+            proj[j, j] = alpha
             if j + 1 < m:
                 proj[j + 1, j] = proj[j, j + 1] = beta
-            basis[j + 1] = w
+            if j == k:
+                coupling, alphas = np.abs(proj), proj.diagonal()
+            elif j + 1 < m:
+                coupling[j + 1, j] = coupling[j, j + 1] = beta
+            np.multiply(w, 1.0 / norm, out=basis[j + 1])
+            forced = exceeded  # the step after a full pass takes one too (Simon)
         theta, y = np.linalg.eigh(proj[:n, :n])
         anorm = max(anorm, float(np.abs(theta).max()))
         residual = float(beta * np.abs(y[n - 1, :n_eig]).max())
@@ -164,17 +229,24 @@ def lowest_eigenpairs(matvec: Callable[[np.ndarray], np.ndarray], dim: int, n_ei
         k = min(KEEP, n - 1)
         _rotate(basis, y[:, :k])
         basis[k] = basis[n]
-        if matvecs >= MAX_MATVECS // 2 and m < min(GROWN_BASIS, dim):
+        carried = np.abs(y[:, :k]).T @ omega[n, :n] + ROUNDING  # |y|^T omega through the rotation
+        residuals.append(residual)
+        if (m < min(GROWN_BASIS, dim) and len(residuals) > STALL_RESTARTS
+                and min(residuals[-STALL_RESTARTS:]) > min(residuals[:-STALL_RESTARTS]) / 2):
             m = min(GROWN_BASIS, dim)
             basis = np.concatenate((basis[: k + 1], np.empty((m - k, dim))))
+            omega = np.zeros((m + 1, m + 1))
+        omega[k, :k] = carried  # rows past k are written before they are read
         proj = np.zeros((m, m))
         proj[:k, :k] = np.diag(theta[:k])
         proj[k, :k] = proj[:k, k] = beta * y[n - 1, :k]
         restarts += 1
     logger.debug(
-        "Lanczos dim %d: %d matvecs, %d restarts, %d second Gram-Schmidt passes, "
-        "residual %.3e",
-        dim, matvecs, restarts, repeats, residual,
+        "Lanczos dim %d: %d matvecs, %d restarts, %d full Gram-Schmidt passes in %d steps, "
+        "%d second Gram-Schmidt passes, %s, residual %.3e",
+        dim, matvecs, restarts, passes, matvecs, repeats,
+        f"basis grown to {m} vectors" if m > min(MAX_BASIS, dim) else "basis not grown",
+        residual,
     )
     return theta[:n_eig], y[:, :n_eig].T @ basis[:n]
 

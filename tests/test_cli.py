@@ -17,7 +17,7 @@ import rydmis.forks
 import rydmis.isets
 from rydmis import PhysicalParams, PulseSchedule, fit_eta_polynomials, standard_schedule
 from rydmis.cli import main
-from rydmis.geometry import builtin_instance, is_builtin_name
+from rydmis.geometry import STOCK_MHZ, builtin_instance, is_builtin_name
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -359,6 +359,20 @@ def test_non_finite_schedule_input_exits_1(tmp_path, capsys, command, defect, fi
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.startswith("error:") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(STOCK_MHZ))
+def test_sample_refuses_physical_flags_without_an_instance(pipeline_dir, tmp_path, capsys,
+                                                           name):
+    # without a graph the shots are not classified, so the flag would change nothing
+    out, flag = tmp_path / "shots.json", "--" + name.replace("_", "-")
+    args = ["sample", "--state", str(pipeline_dir / "state.json"), "--out", str(out),
+            flag, str(STOCK_MHZ[name])]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and "--instance" in err
+    assert not out.exists()
+    assert main([*args, "--instance", "Q1D_4"]) == 0
 
 
 @pytest.mark.parametrize("instance", [["--instance", "Q1D_4"], []],

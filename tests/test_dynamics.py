@@ -412,6 +412,18 @@ def test_cold_projection_converges_at_small_omega(params, q1d10):
     assert 0.0 <= p_e0 <= 1.0 + 1e-12
 
 
+def test_cold_projection_at_small_omega_grows_its_basis_early(params, q1d10):
+    # the same solve took 10,076 matvecs when the basis grew only after MAX_MATVECS / 2
+    _, _, h = q1d10
+    sched = standard_schedule(params)
+    t = sched.total_time / 400.0
+    psi = np.zeros(h.dim, dtype=complex)
+    psi[0] = 1.0
+    before = h.matvecs
+    rydmis.dynamics._ground_projection(h, float(sched.omega(t)), float(sched.delta(t)), psi)
+    assert h.matvecs - before <= 1000
+
+
 def test_fig3b_robust_claims(q1d10_profile, q1d10_evolutions):
     """The paper's fig. 3b ordering and gap minimum.
 

@@ -1,10 +1,26 @@
+import logging
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rydmis import AtomArray, assemble, blockade_graph, build_basis, hamiltonian_terms, krylov
+from rydmis import (
+    AtomArray,
+    assemble,
+    blockade_graph,
+    build_basis,
+    builtin_instance,
+    hamiltonian_terms,
+    krylov,
+)
+
+STIFF = AtomArray("stiff", ((6.0, 0.5), (15.0, 11.5), (6.5, 18.0), (16.0, 10.0),
+                           (7.5, 18.0), (7.5, 10.0), (6.5, 14.0), (6.5, 2.5)))
+# the 12 atoms of TD_25 nearest its centroid, test_invariance's blockade case: 160 states
+TD25_PATCH = (1, 2, 4, 7, 8, 11, 12, 13, 16, 17, 20, 23)
 
 
 def test_restarted_basis_stays_orthonormal(params, q1d10):
@@ -23,13 +39,83 @@ def test_restarted_basis_stays_orthonormal(params, q1d10):
     assert np.linalg.norm(q @ q.conj().T - np.eye(len(q)), 2) <= 1e-12
 
 
+def _checked_steps(monkeypatch, matrix, dim) -> list[tuple[str, float, float]]:
+    """Solve, and pair each new basis row with the solver's bound on its overlaps.
+
+    Returns (kind, max_i |q_i . q_(j+1)|, bound) per step whose row the next
+    step reads: kind "local" where _omega_bounds set the bound, "full" where
+    a full pass did, leaving ROUNDING / DGKS_RATIO.
+    """
+    pending, pairs = [], []
+    bounds, full_pass = krylov._omega_bounds, krylov._full_pass
+
+    def spy_bounds(omega, coupling, alphas, j, *args):
+        largest = bounds(omega, coupling, alphas, j, *args)
+        pending[:] = [("local", j + 1, largest)]
+        return largest
+
+    def spy_full_pass(q, w):
+        out = full_pass(q, w)
+        pending[:] = [("full", len(q), krylov.ROUNDING / krylov.DGKS_RATIO)]
+        return out
+
+    def matvec(x):
+        base = x.base  # x is a row of the solver's basis
+        row = (x.ctypes.data - base.ctypes.data) // x.nbytes
+        if pending and pending[0][1] == row:
+            kind, _, bound = pending.pop()
+            pairs.append((kind, float(np.abs(base[:row] @ x).max()), bound))
+        return matrix @ x
+
+    monkeypatch.setattr(krylov, "_omega_bounds", spy_bounds)
+    monkeypatch.setattr(krylov, "_full_pass", spy_full_pass)
+    krylov.lowest_eigenpairs(matvec, dim, 2)
+    return pairs
+
+
+def test_omega_bounds_every_overlap_in_both_bases(params, q1d10, monkeypatch):
+    _, _, h = q1d10
+    arr = AtomArray("patch", tuple(builtin_instance("TD_25").positions[i] for i in TD25_PATCH))
+    g = blockade_graph(arr, params)
+    patch = hamiltonian_terms(g, build_basis(g, "blockade"))
+    for terms in (h, patch):
+        pairs = _checked_steps(monkeypatch, assemble(terms, params.omega0, params.delta_f),
+                               terms.dim)
+        assert {kind for kind, _, _ in pairs} == {"local", "full"}
+        assert all(actual <= bound for _, actual, bound in pairs), pairs
+
+
+def test_a_two_state_solve_breaks_down_without_a_warning():
+    # the Krylov space is the whole space after two vectors: beta = 0 at once
+    m = np.array([[1.0, 0.5], [0.5, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, _ = krylov.lowest_eigenpairs(lambda x: m @ x, 2, 2)
+    assert np.allclose(vals, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stiff, growth", [(False, "basis not grown"),
+                                           (True, "basis grown to 80 vectors")])
+def test_solve_logs_its_full_passes_and_growth(params, q1d10, caplog, stiff, growth):
+    h = q1d10[2]
+    if stiff:
+        g = blockade_graph(STIFF, params)
+        h = hamiltonian_terms(g, build_basis(g, "full"))
+    with caplog.at_level(logging.DEBUG, logger="rydmis.krylov"):
+        krylov.lowest_eigenpairs(assemble(h, params.omega0, params.delta_f).__matmul__,
+                                 h.dim, 2)
+    (record,) = [r for r in caplog.records if r.name == "rydmis.krylov"]
+    passes, steps = (int(x) for x in re.search(
+        r"(\d+) full Gram-Schmidt passes in (\d+) steps", record.message).groups())
+    assert 0 < passes < steps
+    assert growth in record.message
+
+
 def test_a_stiff_spectrum_converges_on_the_grown_basis(params):
     # atoms 3 and 5 sit 1 um apart, so the full basis spans about 5.7e6 rad/us,
     # while at delta_f E1 and E2 lie 0.13 rad/us apart; with MAX_BASIS vectors
     # per cycle this solve needs about 33,000 matvecs
-    arr = AtomArray("stiff", ((6.0, 0.5), (15.0, 11.5), (6.5, 18.0), (16.0, 10.0),
-                              (7.5, 18.0), (7.5, 10.0), (6.5, 14.0), (6.5, 2.5)))
-    g = blockade_graph(arr, params)
+    g = blockade_graph(STIFF, params)
     matrix = assemble(hamiltonian_terms(g, build_basis(g, "full")), params.omega0,
                       params.delta_f)
     rows = set()
