@@ -53,10 +53,8 @@ from .hamiltonian import (
 from .isets import ISetStats, classify_bitstring, count_isets, mis_projector_support
 from .measurement import ShotHistogram, SpamModel, histogram_report, sample_shots
 from .schedule import (
-    EtaPolynomials,
     PulseSchedule,
     adglb_schedule,
-    fit_eta_polynomials,
     standard_schedule,
     transfer_schedule,
 )

@@ -611,7 +611,7 @@ def main(argv=None) -> int:
         log.setLevel(logging.DEBUG)
     try:
         return args.func(Run(_config(args)), args)
-    except (RydmisError, ValueError, OSError, KeyError) as exc:
+    except (RydmisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

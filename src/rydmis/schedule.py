@@ -39,9 +39,11 @@ if TYPE_CHECKING:
 # transfer_schedule: delta_min0 = 2pi x 1.38 MHz reached at t = 3.60 us.
 TRANSFER_DELTA_MIN0 = from_mhz(1.38)
 TRANSFER_T_MIN = 3.60
+# Its published quartic halves, s^1..s^4 in 2pi x MHz, s in us from t_r and from t_min.
+TRANSFER_ETA_A = (4.0047, -1.5785, 0.2826, -0.0193)
+TRANSFER_ETA_B = (0.5509, -0.055, 1.4402, -0.565)
 EXPORT_POINTS = 1000  # table intervals over the sweep window of a curved drive
 EXPORT_MIN_STEP = 1e-3  # us: a uniform table point this close to a knot is dropped
-KNOT_SNAP = 1e-6  # us: fit_eta_polynomials reads a t_min this close to a knot as the knot
 
 
 def _horner(coeffs, s):
@@ -183,7 +185,18 @@ class PulseSchedule:
     def from_json(cls, data: dict) -> "PulseSchedule":
         """Inverse of ``to_json``; a table without piece coefficients is
         joined by straight lines."""
-        pts, t_end = data["points"], float(data["T_us"])
+        def numbers(*values) -> bool:
+            return all(isinstance(v, (int, float)) for v in values)
+        pts = data.get("points") if isinstance(data, dict) else None
+        if not (isinstance(pts, list)
+                and numbers(data.get("t_r_us"), data.get("T_us"), data.get("omega0_over_2pi_MHz"))
+                and all(isinstance(p, dict) and numbers(p.get("t_us"), p.get("delta_over_2pi_MHz"))
+                        and isinstance(p.get("poly_over_2pi_MHz", []), list)
+                        and numbers(*p.get("poly_over_2pi_MHz", [])) for p in pts)):
+            raise ValueError("schedule file must hold numbers t_r_us, T_us, omega0_over_2pi_MHz "
+                             "and points of numbers t_us, delta_over_2pi_MHz and, where a piece "
+                             "starts, a list poly_over_2pi_MHz")
+        t_end = float(data["T_us"])
         shape = (float(data["t_r_us"]), t_end, from_mhz(float(data["omega0_over_2pi_MHz"])))
         kind = str(data.get("kind", "custom"))
         starts = [p for p in pts if "poly_over_2pi_MHz" in p]
@@ -282,99 +295,34 @@ def adglb_schedule(p: PhysicalParams, profile: "GapProfile", j: float) -> PulseS
                          kind=f"adglb(j={j:g})")
 
 
-@dataclass(frozen=True)
-class EtaPolynomials:
-    """Quartic zero-intercept fits of the two halves of an engineered sweep.
+def transfer_schedule(p: PhysicalParams, nu_d: float) -> PulseSchedule:
+    """Reference schedule re-aimed at waypoint TRANSFER_DELTA_MIN0 + nu_d.
 
-    ``a_coeffs`` (lowest degree first, from s^1 to s^4) fit
-    delta(t_r + s) - delta_i, ``b_coeffs`` fit delta(t_min + s) - delta_min;
-    s in us, outputs in 2pi x MHz.
+    Scales the published quartics TRANSFER_ETA_A (t_r to TRANSFER_T_MIN)
+    and TRANSFER_ETA_B (on to T - t_r) so the detuning passes through the
+    shifted waypoint while keeping the original endpoints (up to their
+    ~2pi x 0.01 MHz endpoint residual, held flat through the final ramp).
+    Requires the reference timing parameters (T = 5 us, t_r = 0.5 us,
+    delta = 2pi x (-2.5 .. 2.5) MHz).
     """
-
-    a_coeffs: tuple[float, float, float, float]
-    b_coeffs: tuple[float, float, float, float]
-
-    @classmethod
-    def reference(cls) -> "EtaPolynomials":
-        """Published fit of the reference 10-atom chain's schedule."""
-        return cls(
-            a_coeffs=(4.0047, -1.5785, 0.2826, -0.0193),
-            b_coeffs=(0.5509, -0.055, 1.4402, -0.565),
-        )
-
-
-def transfer_schedule(
-    p: PhysicalParams,
-    nu_d: float,
-    eta: EtaPolynomials | None = None,
-) -> PulseSchedule:
-    """Reference schedule re-aimed at waypoint delta_min0 + nu_d.
-
-    Scales the two polynomial sweep halves so the detuning passes through
-    the shifted waypoint while keeping the original endpoints (up to the
-    polynomials' ~2pi x 0.01 MHz endpoint residual, which is held flat
-    through the final ramp).  Requires the reference timing parameters
-    (T = 5 us, t_r = 0.5 us, delta = 2pi x (-2.5 .. 2.5) MHz).
-    """
-    if eta is None:
-        eta = EtaPolynomials.reference()
     ref = PhysicalParams.default()
     for attr in ("delta_i", "delta_f", "total_time", "ramp_time"):
         if abs(getattr(p, attr) - getattr(ref, attr)) > 1e-9:
-            raise ValueError(
-                "transfer_schedule requires the reference timing and detuning "
-                f"parameters (mismatch in {attr})"
-            )
+            raise ValueError("transfer_schedule requires the reference timing and detuning "
+                             f"parameters (mismatch in {attr})")
     d_min0, t_min = TRANSFER_DELTA_MIN0, TRANSFER_T_MIN
     d_min = d_min0 + nu_d
     if not (p.delta_i < d_min < p.delta_f):
-        raise ValueError(
-            f"offset {to_mhz(nu_d):+.3f} (2pi MHz) pushes the waypoint outside "
-            "(delta_i, delta_f)"
-        )
+        raise ValueError(f"offset {to_mhz(nu_d):+.3f} (2pi MHz) pushes the waypoint outside "
+                         "(delta_i, delta_f)")
 
     t_r, t_hi = p.ramp_time, p.total_time - p.ramp_time
     scale_a = (d_min - p.delta_i) / (d_min0 - p.delta_i)
     scale_b = (p.delta_f - d_min) / (p.delta_f - d_min0)
-    piece_a = scale_a * TWO_PI * np.array([*eta.a_coeffs[::-1], 0.0]) + [0, 0, 0, 0, p.delta_i]
-    piece_b = scale_b * TWO_PI * np.array([*eta.b_coeffs[::-1], 0.0]) + [0, 0, 0, 0, d_min]
+    piece_a = scale_a * TWO_PI * np.array([*TRANSFER_ETA_A[::-1], 0.0]) + [0, 0, 0, 0, p.delta_i]
+    piece_b = scale_b * TWO_PI * np.array([*TRANSFER_ETA_B[::-1], 0.0]) + [0, 0, 0, 0, d_min]
     d_end = _horner(piece_b, t_hi - t_min)
     return PulseSchedule(t_r, p.total_time, p.omega0, [0.0, t_r, t_min, t_hi, p.total_time],
                          [[0, 0, 0, 0, p.delta_i], piece_a, piece_b, [0, 0, 0, 0, d_end]],
                          kind=f"transfer(nu_d_mhz={to_mhz(nu_d):g})")
 
-
-def fit_eta_polynomials(sched: PulseSchedule, t_min: float) -> EtaPolynomials:
-    """Least-squares quartic (no constant term) fit of an engineered sweep.
-
-    Fits delta - delta_i against s = t - t_r on [t_r, t_min) and
-    delta - delta(t_min) against s = t - t_min on [t_min, T - t_r], both
-    in 2pi x MHz.  The waypoint t_min must be a knot inside the sweep
-    window: the gap minimum of an adglb drive, TRANSFER_T_MIN of a
-    transfer drive.  A t_min within KNOT_SNAP of a knot is read as that
-    knot, so a waypoint printed to a few decimals, as in a gap CSV, still
-    names it.  The fit runs on the export table, so fit ->
-    transfer_schedule -> fit is a fixed point; piece a is half-open
-    because the seam knot at t_min belongs to piece b.
-    """
-    t_r, t_hi = sched.sweep_window
-    knot = sched.knots[np.argmin(np.abs(sched.knots - t_min))]
-    if not (t_r < knot < t_hi and abs(knot - t_min) <= KNOT_SNAP):
-        raise ValueError(f"t_min = {t_min} us is not a knot inside the sweep window")
-    t_min = float(knot)
-    d_min = float(sched.delta(t_min))
-    times, values = sched.delta_times, sched.delta_values
-
-    def fit_piece(in_piece: np.ndarray, t0: float, base: float) -> tuple[float, ...]:
-        s = times[in_piece] - t0
-        y = to_mhz(values[in_piece] - base)
-        design = np.stack([s, s**2, s**3, s**4], axis=1)
-        coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < 4:
-            raise ValueError("degenerate sweep piece; quartic fit is rank deficient")
-        return tuple(float(c) for c in coeffs)
-
-    return EtaPolynomials(
-        a_coeffs=fit_piece((times >= t_r) & (times < t_min), t_r, sched.delta(0.0)),
-        b_coeffs=fit_piece((times >= t_min) & (times <= t_hi), t_min, d_min),
-    )

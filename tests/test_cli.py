@@ -15,7 +15,7 @@ import pytest
 import rydmis.cli
 import rydmis.forks
 import rydmis.isets
-from rydmis import PhysicalParams, PulseSchedule, fit_eta_polynomials, standard_schedule
+from rydmis import PhysicalParams, PulseSchedule, standard_schedule
 from rydmis.cli import main
 from rydmis.geometry import STOCK_MHZ, builtin_instance, is_builtin_name
 
@@ -323,17 +323,26 @@ def test_export_ahs_adglb_points_to_design(tmp_path, capsys):
     assert not (tmp_path / "a.json").exists()
 
 
-def _non_finite_schedule(path: Path, defect: str) -> str:
-    """A standard-sweep schedule file with one value set to NaN."""
+def _bad_schedule(path: Path, defect: str) -> str:
+    """A standard-sweep schedule file with one value set to NaN or one shape defect."""
     data = standard_schedule(PhysicalParams.default()).to_json()
     if defect == "omega0":
         data["omega0_over_2pi_MHz"] = float("nan")
     elif defect == "piece_coefficient":
         data["points"][1]["poly_over_2pi_MHz"][0] = float("nan")
-    else:  # a table value of a file without piece coefficients
+    elif defect == "array":
+        data = data["points"]
+    elif defect == "points_string":
+        data["points"] = "abc"
+    elif defect == "no_points":
+        del data["points"]
+    else:  # a table value of a file without piece coefficients, NaN or missing
         for point in data["points"]:
             point.pop("poly_over_2pi_MHz", None)
-        data["points"][2]["delta_over_2pi_MHz"] = float("nan")
+        if defect == "table_value":
+            data["points"][2]["delta_over_2pi_MHz"] = float("nan")
+        else:
+            del data["points"][2]["delta_over_2pi_MHz"]
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -346,14 +355,21 @@ def _non_finite_schedule(path: Path, defect: str) -> str:
     ("export-ahs", "omega0", "omega0"),
     ("evolve", "piece_coefficient", "coeffs"),
     ("evolve", "omega0", "omega0"),
+    ("export-ahs", "array", "schedule file must hold"),
+    ("export-ahs", "points_string", "schedule file must hold"),
+    ("export-ahs", "no_points", "schedule file must hold"),
+    ("export-ahs", "no_table_value", "schedule file must hold"),
+    ("evolve", "no_table_value", "schedule file must hold"),
 ], ids=["design_j_nan", "design_j_inf", "export_coefficient", "export_table_value",
-        "export_omega0", "evolve_coefficient", "evolve_omega0"])
+        "export_omega0", "evolve_coefficient", "evolve_omega0", "export_array",
+        "export_points_string", "export_no_points", "export_no_table_value",
+        "evolve_no_table_value"])
 def test_non_finite_schedule_input_exits_1(tmp_path, capsys, command, defect, field):
     out = tmp_path / "out.json"
     if command == "design":
         flags = ["--instance", "Q1D_4", "--method", "adglb", "--samples", "20", *defect.split()]
     else:
-        flags = ["--schedule", _non_finite_schedule(tmp_path / "bad.json", defect)]
+        flags = ["--schedule", _bad_schedule(tmp_path / "bad.json", defect)]
         flags += ["--instance", "Q1D_4", "--n-output", "3"] if command == "evolve" else []
     assert main([command, *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -403,22 +419,6 @@ def test_reproduce_figure_passes(figure, tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed and all(line.startswith("[PASS]") for line in printed)
     assert list(tmp_path.glob("*.csv"))
-
-
-def test_eta_fit_reads_the_pipeline_gap_and_schedule(tmp_path):
-    # gap.csv prints t_us to six decimals, so its minimum row lies within
-    # 1e-6 us of the waypoint knot of schedule.json but not on it
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"instance": "Q1D_7", "method": "adglb", "n_output": 5,
-                                  "shots": 20}))
-    assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
-    header, rows = _csv(tmp_path / "gap.csv")
-    gaps = [float(row[header.index("gap")]) for row in rows]
-    t_min = float(rows[int(np.argmin(gaps))][header.index("t_us")])
-    sched = PulseSchedule.load(tmp_path / "schedule.json")
-    knot = float(sched.knots[np.argmin(np.abs(sched.knots - t_min))])
-    assert 0.0 < abs(knot - t_min) <= 1e-6
-    assert fit_eta_polynomials(sched, t_min) == fit_eta_polynomials(sched, knot)
 
 
 def test_j_grid_pipeline_scans_once_and_fans_out(tmp_path, monkeypatch):

@@ -136,14 +136,14 @@ def test_cancelling_pass_is_repeated():
     q = np.linalg.qr(rng.standard_normal((dim, 8)))[0].T.copy()
     w0 = rng.standard_normal(8) @ q + 1e-10 * rng.standard_normal(dim)
     w = w0.copy()
-    c, norm, repeated = krylov._orthogonalize(q, w)
+    c, norm, repeated = krylov._full_pass(q, w)
     assert repeated
     assert norm == pytest.approx(np.linalg.norm(w), rel=1e-12)
     assert np.abs(q @ w).max() <= 1e-14 * norm
     assert np.abs(c - q @ w0).max() <= 1e-12
 
 
-def test_orthogonalize_copies_no_basis_block():
+def test_full_pass_copies_no_basis_block():
     dim = 1 << 16
     rng = np.random.default_rng(4)
     basis = rng.standard_normal((16, dim))
@@ -151,7 +151,7 @@ def test_orthogonalize_copies_no_basis_block():
     scale = rng.standard_normal(dim)
     tracemalloc.start()
     try:
-        krylov._orthogonalize(basis, scale * basis[15])
+        krylov._full_pass(basis, scale * basis[15])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

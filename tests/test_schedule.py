@@ -9,19 +9,17 @@ import pytest
 
 import rydmis
 from rydmis import (
-    EtaPolynomials,
     GapProfile,
     PulseSchedule,
     adglb_schedule,
     builtin_instance,
     blockade_graph,
-    fit_eta_polynomials,
     from_mhz,
     standard_schedule,
     to_mhz,
     transfer_schedule,
 )
-from rydmis.schedule import EXPORT_MIN_STEP, TRANSFER_T_MIN
+from rydmis.schedule import EXPORT_MIN_STEP, TRANSFER_ETA_A, TRANSFER_ETA_B
 
 
 def _flat_profile(t0=0.5, t1=4.5, gap=1.0, t_min=2.5):
@@ -66,7 +64,7 @@ def test_construction_invariants_enforced(params):
 
 
 def _polyval(s, coeffs):
-    """An EtaPolynomials half, zero intercept, coefficients lowest degree first."""
+    """A published eta quartic, zero intercept, coefficients lowest degree first."""
     return np.polynomial.polynomial.polyval(s, (0.0, *coeffs))
 
 
@@ -175,10 +173,9 @@ def test_adglb_profile_mismatch_rejected(params, q1d10_profile):
 
 
 def test_eta_reference_endpoint_identities():
-    eta = EtaPolynomials.reference()
-    assert _polyval(3.1, eta.a_coeffs) == pytest.approx(3.88, abs=0.01)
-    assert _polyval(0.9, eta.b_coeffs) == pytest.approx(1.13, abs=0.01)
-    assert _polyval(0.0, eta.a_coeffs) == 0.0 and _polyval(0.0, eta.b_coeffs) == 0.0
+    assert _polyval(3.1, TRANSFER_ETA_A) == pytest.approx(3.88, abs=0.01)
+    assert _polyval(0.9, TRANSFER_ETA_B) == pytest.approx(1.13, abs=0.01)
+    assert _polyval(0.0, TRANSFER_ETA_A) == 0.0 and _polyval(0.0, TRANSFER_ETA_B) == 0.0
 
 
 def test_transfer_schedule_waypoints(params):
@@ -191,9 +188,8 @@ def test_transfer_schedule_waypoints(params):
     s04 = transfer_schedule(params, from_mhz(0.4))
     scale = (from_mhz(1.78) - params.delta_i) / (from_mhz(1.38) - params.delta_i)
     assert scale == pytest.approx(1.103, abs=2e-3)
-    eta = EtaPolynomials.reference()
     t_probe = 2.0
-    expected = params.delta_i + scale * from_mhz(_polyval(t_probe - 0.5, eta.a_coeffs))
+    expected = params.delta_i + scale * from_mhz(_polyval(t_probe - 0.5, TRANSFER_ETA_A))
     assert float(s04.delta(t_probe)) == pytest.approx(expected, abs=1e-4)
 
 
@@ -218,47 +214,6 @@ def test_transfer_matches_adglb_j18(params, q1d10_profile):
     assert sup < from_mhz(0.05)
 
 
-def test_fit_eta_reproduces_published_coefficients(params, q1d10_profile):
-    sched = adglb_schedule(params, q1d10_profile, 1.8)
-    fit = fit_eta_polynomials(sched, q1d10_profile.t_min)
-    ref = EtaPolynomials.reference()
-    for got, want in zip(fit.a_coeffs + fit.b_coeffs, ref.a_coeffs + ref.b_coeffs):
-        assert abs(got - want) <= max(0.10 * abs(want), 0.01)
-
-
-def test_fit_eta_idempotent(params):
-    # rebuild a schedule from fitted coefficients, refit, compare
-    ref = EtaPolynomials.reference()
-    sched = transfer_schedule(params, 0.0, eta=ref)
-    fit = fit_eta_polynomials(sched, TRANSFER_T_MIN)
-    for got, want in zip(fit.a_coeffs + fit.b_coeffs, ref.a_coeffs + ref.b_coeffs):
-        assert got == pytest.approx(want, abs=5e-4)
-    refit = fit_eta_polynomials(transfer_schedule(params, 0.0, eta=fit), TRANSFER_T_MIN)
-    for a, b in zip(refit.a_coeffs + refit.b_coeffs, fit.a_coeffs + fit.b_coeffs):
-        assert a == pytest.approx(b, abs=1e-6)
-
-
-def test_fit_eta_linear_sweep_degenerates_to_linear_term(params):
-    profile = _flat_profile(t0=0.5, t1=4.5, gap=2.0, t_min=2.5)
-    sched = adglb_schedule(params, profile, 1.0)
-    fit = fit_eta_polynomials(sched, profile.t_min)
-    assert fit.a_coeffs[0] == pytest.approx(
-        to_mhz((profile.delta_min - params.delta_i)) / 2.0, rel=1e-3
-    )
-    for c in fit.a_coeffs[1:]:
-        assert abs(c) < 1e-3
-
-
-def test_fit_eta_rejects_a_t_min_that_is_not_a_knot(params, q1d10_profile):
-    with pytest.raises(ValueError, match="not a knot"):
-        fit_eta_polynomials(standard_schedule(params), 2.5)
-    sched = adglb_schedule(params, q1d10_profile, 1.8)
-    with pytest.raises(ValueError, match="not a knot"):
-        fit_eta_polynomials(sched, q1d10_profile.t_min + 1e-3)
-    with pytest.raises(ValueError, match="not a knot"):
-        fit_eta_polynomials(sched, params.ramp_time)
-
-
 def test_export_table_has_no_step_below_a_nanosecond(params, q1d10_profile):
     for sched in (adglb_schedule(params, q1d10_profile, 1.5), transfer_schedule(params, 0.0)):
         times = sched.delta_times
@@ -268,11 +223,10 @@ def test_export_table_has_no_step_below_a_nanosecond(params, q1d10_profile):
 
 
 def test_schedule_json_roundtrip(params, q1d10_profile, tmp_path):
-    t_min = q1d10_profile.t_min
-    cases = {"transfer(nu_d_mhz=0.2)": (transfer_schedule(params, from_mhz(0.2)), TRANSFER_T_MIN),
-             "adglb(j=1)": (adglb_schedule(params, q1d10_profile, 1.0), t_min),
-             "adglb(j=1.8)": (adglb_schedule(params, q1d10_profile, 1.8), t_min)}
-    for kind, (sched, waypoint) in cases.items():
+    cases = {"transfer(nu_d_mhz=0.2)": transfer_schedule(params, from_mhz(0.2)),
+             "adglb(j=1)": adglb_schedule(params, q1d10_profile, 1.0),
+             "adglb(j=1.8)": adglb_schedule(params, q1d10_profile, 1.8)}
+    for kind, sched in cases.items():
         path = tmp_path / "sched.json"
         sched.save(path)
         data = json.loads(path.read_text())
@@ -287,9 +241,6 @@ def test_schedule_json_roundtrip(params, q1d10_profile, tmp_path):
         times = [p["t_us"] for p in data["points"]]
         assert [p["t_us"] for p in loaded.to_json()["points"]] == times
         assert loaded.omega0 == pytest.approx(sched.omega0)
-        fit, refit = fit_eta_polynomials(sched, waypoint), fit_eta_polynomials(loaded, waypoint)
-        np.testing.assert_allclose(refit.a_coeffs + refit.b_coeffs, fit.a_coeffs + fit.b_coeffs,
-                                   rtol=0.0, atol=1e-9)
 
 
 def test_hardware_program_si_units(params):
@@ -306,16 +257,15 @@ def test_transfer_drive_is_the_two_scaled_quartics(params):
     sched = transfer_schedule(params, nu_d)
     t_r, t_hi, t_end = params.ramp_time, params.total_time - params.ramp_time, params.total_time
     assert set(sched.knots.tolist()) <= {0.0, t_r, 3.60, t_hi, t_end}
-    eta = EtaPolynomials.reference()
     d_min = from_mhz(1.38) + nu_d
     scale_a = (d_min - params.delta_i) / (from_mhz(1.38) - params.delta_i)
     scale_b = (params.delta_f - d_min) / (params.delta_f - from_mhz(1.38))
     rng = np.random.default_rng(3)
     ts = rng.uniform(t_r, 3.60, 1000)
-    expected = params.delta_i + scale_a * from_mhz(_polyval(ts - t_r, eta.a_coeffs))
+    expected = params.delta_i + scale_a * from_mhz(_polyval(ts - t_r, TRANSFER_ETA_A))
     np.testing.assert_allclose(sched.delta(ts), expected, rtol=0.0, atol=1e-12)
     ts = rng.uniform(3.60, t_hi, 1000)
-    expected = d_min + scale_b * from_mhz(_polyval(ts - 3.60, eta.b_coeffs))
+    expected = d_min + scale_b * from_mhz(_polyval(ts - 3.60, TRANSFER_ETA_B))
     np.testing.assert_allclose(sched.delta(ts), expected, rtol=0.0, atol=1e-12)
 
 

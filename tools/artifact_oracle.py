@@ -66,6 +66,9 @@ COMMANDS = [
     ("design", ["design", "--instance", "Q1D_7", "--method", "adglb",
                 "--out", "{out}/design.json"]),
     ("export-ahs", ["export-ahs", "--schedule", "transfer", "--out", "{out}/ahs.json"]),
+    # off the waypoint, so a slip in transfer_schedule's rescaling shows
+    ("export-ahs nu_d", ["export-ahs", "--schedule", "transfer", "--nu-d-mhz", "0.2",
+                         "--out", "{out}/ahs_nu_d.json"]),
 ]
 MAIN = "import sys; from rydmis.cli import main; sys.exit(main())"
 IMPORT_CHECK = "import rydmis; print(rydmis.__file__)"
