@@ -11,11 +11,12 @@ the scan's and the evolutions' jobs are shared with a forked child.
 Each stage's subcommand writes its pipeline file byte for byte; ``sample``
 takes the pipeline's defaults and writes ``histogram_report``'s keys then
 ``counts`` (without ``--instance``: ``n_shots``, ``seed``, ``spam``, ``counts``).
+``_read_json`` / ``_write_json`` are the package's one boundary to JSON files.
 
 Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
 The global ``-v`` writes the ``rydmis`` loggers' DEBUG lines (solver and
-evolution costs, and where each evolution run ran) to stderr; stdout
-does not change.
+evolution costs, and where each evolution run ran) to stderr, each after
+its process's name; stdout does not change.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ PHYSICAL = tuple(STOCK_MHZ)
 def load_instance(ref: str) -> AtomArray:
     """The built-in of a built-in name, even where a file of that name
     exists; any other reference is the path of an instance JSON file."""
-    return builtin_instance(ref) if is_builtin_name(ref) else AtomArray.load(ref)
+    return builtin_instance(ref) if is_builtin_name(ref) else AtomArray.from_json(_read_json(ref))
 
 
 @dataclass
@@ -125,7 +126,7 @@ class RunConfig:
         would; a bool field takes true or false; ``j_grid`` takes a list
         of numbers.  Raises ValueError for a field or value it cannot read.
         """
-        data = json.loads(Path(path).read_text())
+        data = _read_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"config file {path} must hold a JSON object of fields")
         unknown = set(data) - set(cls.__dataclass_fields__)
@@ -197,7 +198,7 @@ class Run:
             return adglb_schedule(self.params, self.profile, self.cfg.j if j is None else j)
         if method == "transfer":
             return transfer_schedule(self.params, from_mhz(self.cfg.nu_d_mhz))
-        return PulseSchedule.load(method)
+        return PulseSchedule.from_json(_read_json(method))
 
     def evolve(self, *scheds: PulseSchedule) -> list[EvolutionResult]:
         return evolve_all(self.terms, scheds, EvolveOptions(n_output=self.cfg.n_output))
@@ -226,6 +227,10 @@ def _gap_columns(profile: GapProfile) -> dict:
 def _evolution_columns(res: EvolutionResult) -> dict:
     return {"t_us": (F6, res.times), "p_e0": (F8, res.p_e0), "p_leak": (F8, 1.0 - res.p_e0),
             "mis_overlap": (F8, res.mis_overlap)}
+
+
+def _read_json(path: Path) -> object:
+    return json.loads(Path(path).read_text())
 
 
 def _write_json(path: Path, data, indent: int | None = 2) -> None:
@@ -271,7 +276,7 @@ def cmd_gap(run: Run, args) -> int:
 
 def cmd_design(run: Run, args) -> int:
     sched = run.schedule()
-    sched.save(args.out)
+    _write_json(args.out, sched.to_json())
     print(f"{sched.kind} schedule -> {args.out}")
     return 0
 
@@ -304,7 +309,7 @@ def cmd_sample(run: Run, args) -> int:
     if given and not run.cfg.instance:
         raise ValueError(f"--{given[0].replace('_', '-')} shapes the instance's graph: "
                          "give it with --instance")
-    state = QuantumState.from_json(json.loads(Path(args.state).read_text()))
+    state = QuantumState.from_json(_read_json(args.state))
     graph = blockade_graph(run.atoms, run.params) if run.cfg.instance else None
     _write_shots(args.out, run.cfg, state, graph)
     print(f"{run.cfg.shots} shots -> {args.out}")
@@ -329,7 +334,7 @@ def _pipeline_run(run, out_dir, tag, j, sched, res) -> dict:
     artifacts = {"gap_csv": "gap.csv"} if cfg.method == "adglb" else {}
     artifacts.update(schedule_json=f"schedule{tag}.json", evolution_csv=f"evolution{tag}.csv",
                      state_json=f"state{tag}.json", histogram_json=f"histogram{tag}.json")
-    sched.save(out_dir / artifacts["schedule_json"])
+    _write_json(out_dir / artifacts["schedule_json"], sched.to_json())
     _write_csv(out_dir / artifacts["evolution_csv"], _evolution_columns(res))
     _write_json(out_dir / artifacts["state_json"], res.final_state.to_json(), indent=None)
     shots = _write_shots(out_dir / artifacts["histogram_json"], cfg, res.final_state, run.graph)
@@ -606,6 +611,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     log = logging.getLogger("rydmis")
     level, handler = log.level, logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(processName)s: %(message)s"))
     if args.verbose:
         log.addHandler(handler)
         log.setLevel(logging.DEBUG)

@@ -54,6 +54,7 @@ import numpy as np
 from . import forks
 from .configs import bits_to_configs, configs_to_bits
 from .errors import ConvergenceError
+from .geometry import is_number
 from .hamiltonian import BasisSet, HamiltonianTerms, assemble
 from .isets import count_isets
 from .krylov import expm_lanczos
@@ -93,10 +94,9 @@ class QuantumState:
     def from_json(cls, data: dict) -> "QuantumState":
         """State of a to_json dict, whose entries may come in any order."""
         entries = data.get("entries") if isinstance(data, dict) else None
-        if not (isinstance(entries, list) and isinstance(data.get("n"), int) and all(
+        if not (isinstance(entries, list) and is_number(data.get("n"), int) and all(
                 isinstance(e, dict) and isinstance(e.get("bits"), str)
-                and all(isinstance(e.get(k), (int, float)) for k in ("re", "im"))
-                for e in entries)):
+                and is_number(e.get("re")) and is_number(e.get("im")) for e in entries)):
             raise ValueError("state file must be an object with an integer 'n' and a list of "
                              "'entries': bits must be strings, and re and im must be numbers")
         n = data["n"]

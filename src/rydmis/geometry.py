@@ -18,11 +18,9 @@ so a *positive* detuning favours the Rydberg state.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +45,11 @@ def to_mhz(value_rad_per_us: float) -> float:
     return value_rad_per_us / TWO_PI
 
 
+def is_number(value, kind=(int, float)) -> bool:
+    """Whether a value read from a data file is a number of ``kind``; a bool is none."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Hardware parameters of the driving laser and interaction.
@@ -68,8 +71,11 @@ class PhysicalParams:
     ramp_time: float
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
+        if min(self.c6, self.omega0) <= 0:
+            raise ValueError("c6 and omega0 must be positive")
         if not (self.total_time > 2 * self.ramp_time > 0):
             raise ValueError("need T > 2*t_r > 0")
         if not (self.delta_i < 0 < self.delta_f):
@@ -132,16 +138,12 @@ class AtomArray:
         missing = [key for key in ("name", "positions_um") if key not in data]
         if missing:
             raise ValueError(f"instance JSON has no {missing[0]!r} field")
-        try:
-            positions = tuple((float(x), float(y)) for x, y in data["positions_um"])
-        except (TypeError, ValueError):
+        pairs = data["positions_um"]
+        if not (isinstance(pairs, list) and all(
+                isinstance(xy, list) and len(xy) == 2 and all(map(is_number, xy)) for xy in pairs)):
             raise ValueError("instance JSON field 'positions_um' must be a list of "
-                             "[x, y] number pairs") from None
-        return cls(name=str(data["name"]), positions=positions)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AtomArray":
-        return cls.from_json(json.loads(Path(path).read_text()))
+                             "[x, y] number pairs")
+        return cls(name=str(data["name"]), positions=tuple((float(x), float(y)) for x, y in pairs))
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,18 @@ between its ``knots``; the breakpoint table (``delta_times``,
   instance over to a harder one.
 
 A schedule is its knots, its piece coefficients and a ``kind`` label such
-as ``adglb(j=1.8)``; ``save`` writes all three and ``load`` reads them back.
+as ``adglb(j=1.8)``; ``to_json`` writes all three and ``from_json`` reads them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING
-import json
 
 import numpy as np
 
-from .geometry import TWO_PI, PhysicalParams, from_mhz, to_mhz
+from .geometry import TWO_PI, PhysicalParams, from_mhz, is_number, to_mhz
 
 if TYPE_CHECKING:
     from .spectrum import GapProfile
@@ -185,14 +183,12 @@ class PulseSchedule:
     def from_json(cls, data: dict) -> "PulseSchedule":
         """Inverse of ``to_json``; a table without piece coefficients is
         joined by straight lines."""
-        def numbers(*values) -> bool:
-            return all(isinstance(v, (int, float)) for v in values)
         pts = data.get("points") if isinstance(data, dict) else None
-        if not (isinstance(pts, list)
-                and numbers(data.get("t_r_us"), data.get("T_us"), data.get("omega0_over_2pi_MHz"))
-                and all(isinstance(p, dict) and numbers(p.get("t_us"), p.get("delta_over_2pi_MHz"))
-                        and isinstance(p.get("poly_over_2pi_MHz", []), list)
-                        and numbers(*p.get("poly_over_2pi_MHz", [])) for p in pts)):
+        if not (isinstance(pts, list) and all(map(is_number, [
+                    data.get(key) for key in ("t_r_us", "T_us", "omega0_over_2pi_MHz")]))
+                and all(isinstance(p, dict) and isinstance(p.get("poly_over_2pi_MHz", []), list)
+                        and all(map(is_number, [p.get("t_us"), p.get("delta_over_2pi_MHz"),
+                                                *p.get("poly_over_2pi_MHz", [])])) for p in pts)):
             raise ValueError("schedule file must hold numbers t_r_us, T_us, omega0_over_2pi_MHz "
                              "and points of numbers t_us, delta_over_2pi_MHz and, where a piece "
                              "starts, a list poly_over_2pi_MHz")
@@ -205,13 +201,6 @@ class PulseSchedule:
                                   from_mhz(np.array([p["delta_over_2pi_MHz"] for p in pts])), kind)
         return cls(*shape, [p["t_us"] for p in starts] + [t_end],
                    from_mhz(np.array([p["poly_over_2pi_MHz"] for p in starts])), kind)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PulseSchedule":
-        return cls.from_json(json.loads(Path(path).read_text()))
 
     def to_hardware_program(self) -> dict:
         """Piecewise-linear amplitude/detuning time series in SI units."""

@@ -95,7 +95,8 @@ def test_shuffled_state_file_samples_the_same(pipeline_dir, tmp_path):
 
 
 @pytest.mark.parametrize("defect", ["duplicate", "length", "non_binary", "amplitude",
-                                    "null_amplitude", "bits_number", "array", "too_wide"])
+                                    "null_amplitude", "bool_amplitude", "bool_n", "bits_number",
+                                    "array", "too_wide"])
 def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
     data = json.loads((pipeline_dir / "state.json").read_text())
     entries = data["entries"]
@@ -111,6 +112,10 @@ def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
         entries[1]["bits"] = "2" + entries[1]["bits"][1:]
     elif defect == "bits_number":
         entries[1]["bits"] = 5
+    elif defect == "bool_amplitude":
+        entries[1]["re"] = True
+    elif defect == "bool_n":
+        data["n"] = True
     elif defect == "array":
         data = entries
     elif defect == "too_wide":
@@ -125,6 +130,7 @@ def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
     assert _sample(bad, tmp_path / "out.json", instance) == 1
     message = {"duplicate": "more than once", "length": "length", "non_binary": "0 and 1",
                "amplitude": "must be numbers", "null_amplitude": "must be numbers",
+               "bool_amplitude": "must be numbers", "bool_n": "an integer 'n'",
                "bits_number": "bits must be strings", "array": "must be an object",
                "too_wide": "at most 63"}
     err = capsys.readouterr().err
@@ -165,7 +171,7 @@ def test_design_saves_a_loadable_schedule(tmp_path, method):
     out = tmp_path / "sched.json"
     assert main(["design", "--instance", "Q1D_4", "--method", method, "--samples", "20",
                  "--out", str(out)]) == 0
-    sched = PulseSchedule.load(out)
+    sched = PulseSchedule.from_json(json.loads(out.read_text()))
     labels = {"std": "standard", "adglb": "adglb(j=1.8)", "transfer": "transfer(nu_d_mhz=0)"}
     assert sched.kind == labels[method]
     assert sched.total_time == 5.0
@@ -274,7 +280,8 @@ def test_instance_file_without_a_field_exits_1(tmp_path, capsys, missing):
     ('{"name": "x", "positions_um": 7}', "'positions_um'"),
     ('{"name": "x", "positions_um": [[0, 0, 0]]}', "'positions_um'"),
     ('{"name": "x", "positions_um": [[0, null], [8, 0]]}', "'positions_um'"),
-], ids=["number", "positions_number", "position_triple", "position_null"])
+    ('{"name": "x", "positions_um": [[true, 0], [8, 0]]}', "'positions_um'"),
+], ids=["number", "positions_number", "position_triple", "position_null", "position_bool"])
 def test_instance_file_of_the_wrong_type_exits_1(tmp_path, capsys, text, field):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -297,6 +304,16 @@ def test_verbose_logs_costs_to_stderr_only(tmp_path, capsys):
     assert "evolve dim" not in quiet.err
     log = logging.getLogger("rydmis")
     assert log.level == logging.NOTSET and not log.handlers
+
+
+def test_verbose_tags_each_line_with_its_process(tmp_path, monkeypatch, capfd):
+    # the scan's odd chain runs in the forked child, whose lines reach the same stderr
+    monkeypatch.setattr(rydmis.forks, "_may_fork", lambda: True)
+    assert main(["-v", "gap", "--instance", "Q1D_7", "--samples", "20",
+                 "--out", str(tmp_path / "gap.csv")]) == 0
+    tags = {line.split(": ", 1)[0] for line in capfd.readouterr().err.splitlines()
+            if "Lanczos" in line}
+    assert "MainProcess" in tags and any(tag.startswith("ForkProcess-") for tag in tags)
 
 
 def test_isets_above_the_guard_exits_1(monkeypatch, capsys):
@@ -324,10 +341,15 @@ def test_export_ahs_adglb_points_to_design(tmp_path, capsys):
 
 
 def _bad_schedule(path: Path, defect: str) -> str:
-    """A standard-sweep schedule file with one value set to NaN or one shape defect."""
+    """A standard-sweep schedule file with one value set to NaN, one number set to
+    a bool, or one shape defect."""
     data = standard_schedule(PhysicalParams.default()).to_json()
     if defect == "omega0":
         data["omega0_over_2pi_MHz"] = float("nan")
+    elif defect == "omega0_bool":
+        data["omega0_over_2pi_MHz"] = True
+    elif defect == "t_us_bool":
+        data["points"][0]["t_us"] = False
     elif defect == "piece_coefficient":
         data["points"][1]["poly_over_2pi_MHz"][0] = float("nan")
     elif defect == "array":
@@ -353,6 +375,8 @@ def _bad_schedule(path: Path, defect: str) -> str:
     ("export-ahs", "piece_coefficient", "coeffs"),
     ("export-ahs", "table_value", "coeffs"),
     ("export-ahs", "omega0", "omega0"),
+    ("export-ahs", "omega0_bool", "schedule file must hold"),
+    ("export-ahs", "t_us_bool", "schedule file must hold"),
     ("evolve", "piece_coefficient", "coeffs"),
     ("evolve", "omega0", "omega0"),
     ("export-ahs", "array", "schedule file must hold"),
@@ -361,9 +385,9 @@ def _bad_schedule(path: Path, defect: str) -> str:
     ("export-ahs", "no_table_value", "schedule file must hold"),
     ("evolve", "no_table_value", "schedule file must hold"),
 ], ids=["design_j_nan", "design_j_inf", "export_coefficient", "export_table_value",
-        "export_omega0", "evolve_coefficient", "evolve_omega0", "export_array",
-        "export_points_string", "export_no_points", "export_no_table_value",
-        "evolve_no_table_value"])
+        "export_omega0", "export_omega0_bool", "export_t_us_bool", "evolve_coefficient",
+        "evolve_omega0", "export_array", "export_points_string", "export_no_points",
+        "export_no_table_value", "evolve_no_table_value"])
 def test_non_finite_schedule_input_exits_1(tmp_path, capsys, command, defect, field):
     out = tmp_path / "out.json"
     if command == "design":
@@ -389,6 +413,19 @@ def test_sample_refuses_physical_flags_without_an_instance(pipeline_dir, tmp_pat
     assert err.startswith("error:") and flag in err and "--instance" in err
     assert not out.exists()
     assert main([*args, "--instance", "Q1D_4"]) == 0
+
+
+def test_a_physical_flag_that_is_not_finite_or_positive_exits_1(pipeline_dir, tmp_path, capsys):
+    # an Omega0 or C6 of NaN or C6 <= 0 used to give an edgeless graph and exit 0
+    out = tmp_path / "shots.json"
+    sample = ["sample", "--state", str(pipeline_dir / "state.json"), "--out", str(out)]
+    for flag, value in [("--c6-mhz-um6", "nan"), ("--c6-mhz-um6", "0"), ("--c6-mhz-um6", "-1"),
+                        ("--omega0-mhz", "nan")]:
+        for argv in (["isets"], sample):
+            assert main([*argv, "--instance", "Q1D_4", flag, value]) == 1
+            printed = capsys.readouterr()
+            assert printed.err.count("error:") == 1 and printed.err.startswith("error:")
+            assert not printed.out and not out.exists()
 
 
 @pytest.mark.parametrize("instance", [["--instance", "Q1D_4"], []],

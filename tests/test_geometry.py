@@ -13,6 +13,7 @@ from rydmis import (
     generate_kpxp_chain,
     to_mhz,
 )
+from rydmis.geometry import STOCK_MHZ
 
 from oracles import oracle_edges
 
@@ -139,12 +140,10 @@ def test_mis_encoding_requires_delta_f_below_u():
         blockade_graph(arr, p, require_mis_encoding=True)
 
 
-def test_instance_json_roundtrip(tmp_path):
+def test_instance_json_roundtrip():
     arr = builtin_instance("Q1D_7")
-    path = tmp_path / "q1d7.json"
-    path.write_text(json.dumps({"name": arr.name,
-                                "positions_um": [list(p) for p in arr.positions]}))
-    assert AtomArray.load(path) == arr
+    text = json.dumps({"name": arr.name, "positions_um": [list(p) for p in arr.positions]})
+    assert AtomArray.from_json(json.loads(text)) == arr
 
 
 def test_physical_params_validation():
@@ -154,6 +153,10 @@ def test_physical_params_validation():
         PhysicalParams.from_mhz(863000.0, 1.0, -2.5, 2.5, 1.0, 0.5)
     with pytest.raises(ValueError):
         PhysicalParams.from_mhz(863000.0, 1.0, 2.5, 2.5, 5.0, 0.5)
+    for bad in [{"c6_mhz_um6": 0.0}, {"c6_mhz_um6": -1.0},
+                *({name: value} for name in STOCK_MHZ for value in (math.nan, math.inf))]:
+        with pytest.raises(ValueError, match="must be (finite|positive)"):
+            PhysicalParams.from_mhz(**{**STOCK_MHZ, **bad})
 
 
 def test_coincident_atoms_rejected():

@@ -3,9 +3,10 @@
 Usage: python tools/artifact_oracle.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold the ``rydmis`` package (a
-checkout's ``src``).  Each side writes ``J_GRID_CONFIG`` into its own
-temporary directory and runs the CLI invocations of ``COMMANDS`` there,
-with BLAS on one thread; the two sides run at the same time.  Then:
+checkout's ``src``).  Each side writes ``J_GRID_CONFIG`` and ``INSTANCE``
+(a layout that is not a built-in, so the instance-file reader runs) into
+its own temporary directory and runs the CLI invocations of ``COMMANDS``
+there, with BLAS on one thread; the two sides run at the same time.  Then:
 
 - exit codes must be equal;
 - stdout must be byte-identical once the output directory is replaced by
@@ -40,6 +41,8 @@ PLACEHOLDER = "<out>"
 # the pipeline config of the j-grid command, written as {out}/j_grid.json
 J_GRID_CONFIG = {"instance": "Q1D_7", "method": "adglb", "j_grid": [1, 2], "n_output": 20,
                  "shots": 100}
+# a 2 x 3 grid 6 um apart, written as {out}/instance.json: edges along rows, columns and diagonals
+INSTANCE = {"name": "grid_2x3", "positions_um": [[0, 0], [6, 0], [12, 0], [0, 6], [6, 6], [12, 6]]}
 
 # (name, CLI arguments); "{out}" is the side's output directory
 COMMANDS = [
@@ -63,8 +66,12 @@ COMMANDS = [
     ("gap", ["gap", "--instance", "TD_25", "--basis", "blockade", "--samples", "60",
              "--out", "{out}/gap.csv"]),
     ("isets", ["isets", "--instance", "TD_25"]),
+    ("isets file", ["isets", "--instance", "{out}/instance.json"]),
     ("design", ["design", "--instance", "Q1D_7", "--method", "adglb",
                 "--out", "{out}/design.json"]),
+    # reads the schedule file that design wrote
+    ("evolve design", ["evolve", "--instance", "Q1D_7", "--schedule", "{out}/design.json",
+                       "--n-output", "20", "--out", "{out}/evolve_design.csv"]),
     ("export-ahs", ["export-ahs", "--schedule", "transfer", "--out", "{out}/ahs.json"]),
     # off the waypoint, so a slip in transfer_schedule's rescaling shows
     ("export-ahs nu_d", ["export-ahs", "--schedule", "transfer", "--nu-d-mhz", "0.2",
@@ -90,6 +97,7 @@ def run_side(src: Path, out: Path) -> list[tuple[int, str]]:
         raise SystemExit(f"{src}: rydmis imports from {found}, not from this tree")
     out.mkdir(parents=True)
     (out / "j_grid.json").write_text(json.dumps(J_GRID_CONFIG))
+    (out / "instance.json").write_text(json.dumps(INSTANCE))
     results = []
     for _, args in COMMANDS:
         argv = [a.replace("{out}", str(out)) for a in args]
