@@ -11,7 +11,8 @@ the scan's and the evolutions' jobs are shared with a forked child.
 Each stage's subcommand writes its pipeline file byte for byte; ``sample``
 takes the pipeline's defaults and writes ``histogram_report``'s keys then
 ``counts`` (without ``--instance``: ``n_shots``, ``seed``, ``spam``, ``counts``).
-``_read_json`` / ``_write_json`` are the package's one boundary to JSON files.
+``_read_json`` / ``_write_json`` are the package's one boundary to JSON files:
+a data file holds one JSON object, and every error in reading one names it.
 
 Exit codes: 0 success, 2 reproduction-target failure, 1 error (usage too).
 The global ``-v`` writes the ``rydmis`` loggers' DEBUG lines (solver and
@@ -52,6 +53,7 @@ from .geometry import (
     builtin_instance,
     from_mhz,
     is_builtin_name,
+    is_number,
     to_mhz,
 )
 from .hamiltonian import HamiltonianTerms, build_basis, hamiltonian_terms
@@ -65,12 +67,6 @@ PAPER_P_E0 = {"standard": 0.739, "adglb_j1": 0.955, "adglb_j1.5": 0.981, "adglb_
               "adglb_j2": 0.940}
 METHODS = ("std", "adglb", "transfer")
 PHYSICAL = tuple(STOCK_MHZ)
-
-
-def load_instance(ref: str) -> AtomArray:
-    """The built-in of a built-in name, even where a file of that name
-    exists; any other reference is the path of an instance JSON file."""
-    return builtin_instance(ref) if is_builtin_name(ref) else AtomArray.from_json(_read_json(ref))
 
 
 @dataclass
@@ -119,16 +115,13 @@ class RunConfig:
             raise ValueError(f"j_grid lists two exponents with the run tag {shared}")
 
     @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
-        """The config of a JSON file, each value read as its default's type.
+    def from_json(cls, data: dict) -> "RunConfig":
+        """The config of the dict the CLI read from a config file.
 
-        A number or string field parses the value's text as its flag
-        would; a bool field takes true or false; ``j_grid`` takes a list
-        of numbers.  Raises ValueError for a field or value it cannot read.
-        """
-        data = _read_json(path)
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {path} must hold a JSON object of fields")
+        Each value is read as its default's type: a number or string field
+        parses the text of a string or a number as its flag would, a bool
+        field takes true or false, and ``j_grid`` a list of numbers.  Raises
+        ValueError for a field or value it cannot read."""
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -139,14 +132,12 @@ class RunConfig:
 def _coerce(key: str, value, default):
     kind = type(default)
     try:
-        if kind is list:
-            if not isinstance(value, list):
+        if kind in (bool, list):
+            if not isinstance(value, kind):
                 raise TypeError
-            return [float(str(item)) for item in value]
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise TypeError
-            return value
+            return value if kind is bool else [float(str(item)) for item in value]
+        if not (isinstance(value, str) or is_number(value)):  # a null or a bool has no text
+            raise TypeError
         return kind(str(value))
     except (TypeError, ValueError):
         raise ValueError(
@@ -170,7 +161,11 @@ class Run:
 
     @cached_property
     def atoms(self) -> AtomArray:
-        return load_instance(self.cfg.instance)
+        """A built-in name's instance, even where a file has that name; else the file's."""
+        ref = self.cfg.instance
+        if is_builtin_name(ref):
+            return builtin_instance(ref)
+        return _read_json(ref, AtomArray.from_json)
 
     @cached_property
     def graph(self) -> BlockadeGraph:
@@ -198,7 +193,7 @@ class Run:
             return adglb_schedule(self.params, self.profile, self.cfg.j if j is None else j)
         if method == "transfer":
             return transfer_schedule(self.params, from_mhz(self.cfg.nu_d_mhz))
-        return PulseSchedule.from_json(_read_json(method))
+        return _read_json(method, PulseSchedule.from_json)
 
     def evolve(self, *scheds: PulseSchedule) -> list[EvolutionResult]:
         return evolve_all(self.terms, scheds, EvolveOptions(n_output=self.cfg.n_output))
@@ -229,8 +224,15 @@ def _evolution_columns(res: EvolutionResult) -> dict:
             "mis_overlap": (F8, res.mis_overlap)}
 
 
-def _read_json(path: Path) -> object:
-    return json.loads(Path(path).read_text())
+def _read_json(path: Path, parse):
+    """parse(data) of the JSON object at path; a ValueError, the decoder's too, names path."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("a data file must be an object, one JSON object of named fields")
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_json(path: Path, data, indent: int | None = 2) -> None:
@@ -309,7 +311,7 @@ def cmd_sample(run: Run, args) -> int:
     if given and not run.cfg.instance:
         raise ValueError(f"--{given[0].replace('_', '-')} shapes the instance's graph: "
                          "give it with --instance")
-    state = QuantumState.from_json(_read_json(args.state))
+    state = _read_json(args.state, QuantumState.from_json)
     graph = blockade_graph(run.atoms, run.params) if run.cfg.instance else None
     _write_shots(args.out, run.cfg, state, graph)
     print(f"{run.cfg.shots} shots -> {args.out}")
@@ -602,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> RunConfig:
     """RunConfig of the parsed flags, over the --config file where one is given."""
-    base = RunConfig.load(args.config) if getattr(args, "config", None) else RunConfig()
+    base = _read_json(args.config, RunConfig.from_json) if vars(args).get("config") else RunConfig()
     names = RunConfig.__dataclass_fields__
     return replace(base, **{k: v for k, v in vars(args).items() if k in names})
 

@@ -92,21 +92,20 @@ class QuantumState:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuantumState":
-        """State of a to_json dict, whose entries may come in any order."""
-        entries = data.get("entries") if isinstance(data, dict) else None
-        if not (isinstance(entries, list) and is_number(data.get("n"), int) and all(
+        """State of the to_json dict the CLI read from a state file, in any entry order."""
+        entries, n, kind = data.get("entries"), data.get("n"), data.get("kind", "custom")
+        if not (isinstance(entries, list) and isinstance(kind, str) and is_number(n, int) and all(
                 isinstance(e, dict) and isinstance(e.get("bits"), str)
                 and is_number(e.get("re")) and is_number(e.get("im")) for e in entries)):
-            raise ValueError("state file must be an object with an integer 'n' and a list of "
-                             "'entries': bits must be strings, and re and im must be numbers")
-        n = data["n"]
+            raise ValueError("state file must hold an integer 'n', a string 'kind' if any and a "
+                             "list of 'entries': bits must be strings, re and im must be numbers")
         configs = bits_to_configs([e["bits"] for e in entries], n)
         states, first, counts = np.unique(configs, return_index=True, return_counts=True)
         if np.any(counts > 1):
             bits = configs_to_bits(states[counts > 1][:1], n)[0]
             raise ValueError(f"state file lists configuration {bits} more than once")
         amps = np.array([complex(e["re"], e["im"]) for e in entries])
-        basis = BasisSet(kind=str(data.get("kind", "custom")), n=n, states=states)
+        basis = BasisSet(kind=kind, n=n, states=states)
         return cls(basis=basis, amplitudes=amps[first])
 
 

@@ -133,17 +133,18 @@ class AtomArray:
 
     @classmethod
     def from_json(cls, data: dict) -> "AtomArray":
-        if not isinstance(data, dict):
-            raise ValueError("instance JSON must be an object with 'name' and 'positions_um'")
+        """The instance of the dict the CLI read from an instance file."""
         missing = [key for key in ("name", "positions_um") if key not in data]
         if missing:
             raise ValueError(f"instance JSON has no {missing[0]!r} field")
+        if not isinstance(data["name"], str):
+            raise ValueError("instance JSON field 'name' must be a string")
         pairs = data["positions_um"]
         if not (isinstance(pairs, list) and all(
                 isinstance(xy, list) and len(xy) == 2 and all(map(is_number, xy)) for xy in pairs)):
             raise ValueError("instance JSON field 'positions_um' must be a list of "
                              "[x, y] number pairs")
-        return cls(name=str(data["name"]), positions=tuple((float(x), float(y)) for x, y in pairs))
+        return cls(name=data["name"], positions=tuple((float(x), float(y)) for x, y in pairs))
 
 
 @dataclass(frozen=True)

@@ -181,20 +181,19 @@ class PulseSchedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "PulseSchedule":
-        """Inverse of ``to_json``; a table without piece coefficients is
-        joined by straight lines."""
-        pts = data.get("points") if isinstance(data, dict) else None
-        if not (isinstance(pts, list) and all(map(is_number, [
+        """Inverse of ``to_json``, on the dict the CLI read from a schedule file;
+        a table without piece coefficients is joined by straight lines."""
+        pts, kind = data.get("points"), data.get("kind", "custom")
+        if not (isinstance(pts, list) and isinstance(kind, str) and all(map(is_number, [
                     data.get(key) for key in ("t_r_us", "T_us", "omega0_over_2pi_MHz")]))
                 and all(isinstance(p, dict) and isinstance(p.get("poly_over_2pi_MHz", []), list)
                         and all(map(is_number, [p.get("t_us"), p.get("delta_over_2pi_MHz"),
                                                 *p.get("poly_over_2pi_MHz", [])])) for p in pts)):
-            raise ValueError("schedule file must hold numbers t_r_us, T_us, omega0_over_2pi_MHz "
-                             "and points of numbers t_us, delta_over_2pi_MHz and, where a piece "
-                             "starts, a list poly_over_2pi_MHz")
+            raise ValueError("schedule file must hold numbers t_r_us, T_us, omega0_over_2pi_MHz, "
+                             "a string kind if any and points of numbers t_us, delta_over_2pi_MHz"
+                             " and, where a piece starts, a list poly_over_2pi_MHz")
         t_end = float(data["T_us"])
         shape = (float(data["t_r_us"]), t_end, from_mhz(float(data["omega0_over_2pi_MHz"])))
-        kind = str(data.get("kind", "custom"))
         starts = [p for p in pts if "poly_over_2pi_MHz" in p]
         if not starts:
             return cls.from_table(*shape, [p["t_us"] for p in pts],

@@ -96,7 +96,7 @@ def test_shuffled_state_file_samples_the_same(pipeline_dir, tmp_path):
 
 @pytest.mark.parametrize("defect", ["duplicate", "length", "non_binary", "amplitude",
                                     "null_amplitude", "bool_amplitude", "bool_n", "bits_number",
-                                    "array", "too_wide"])
+                                    "array", "too_wide", "null_kind", "cut"])
 def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
     data = json.loads((pipeline_dir / "state.json").read_text())
     entries = data["entries"]
@@ -118,23 +118,27 @@ def test_malformed_state_file_exits_1(pipeline_dir, tmp_path, capsys, defect):
         data["n"] = True
     elif defect == "array":
         data = entries
+    elif defect == "null_kind":
+        data["kind"] = None
     elif defect == "too_wide":
         # without a graph nothing else checks the width; int64 has 63 bits below the sign
         data = {"n": 70, "kind": "full", "entries": [{"bits": "1" + "0" * 69, "re": 1.0,
                                                       "im": 0.0}]}
         instance = ()
-    else:
+    elif defect in ("amplitude", "null_amplitude"):
         entries[1]["re"] = "abc" if defect == "amplitude" else None
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    text = json.dumps(data)
+    bad.write_text(text[:text.index('"entries"')] if defect == "cut" else text)
     assert _sample(bad, tmp_path / "out.json", instance) == 1
     message = {"duplicate": "more than once", "length": "length", "non_binary": "0 and 1",
                "amplitude": "must be numbers", "null_amplitude": "must be numbers",
                "bool_amplitude": "must be numbers", "bool_n": "an integer 'n'",
                "bits_number": "bits must be strings", "array": "must be an object",
-               "too_wide": "at most 63"}
+               "too_wide": "at most 63", "null_kind": "a string 'kind'", "cut": "Expecting"}
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message[defect] in err
+    assert err.startswith(f"error: {bad}: ") and message[defect] in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("bits", ["1" + "0" * 62, "1" * 63, "0" * 62 + "1"])
@@ -281,14 +285,18 @@ def test_instance_file_without_a_field_exits_1(tmp_path, capsys, missing):
     ('{"name": "x", "positions_um": [[0, 0, 0]]}', "'positions_um'"),
     ('{"name": "x", "positions_um": [[0, null], [8, 0]]}', "'positions_um'"),
     ('{"name": "x", "positions_um": [[true, 0], [8, 0]]}', "'positions_um'"),
-], ids=["number", "positions_number", "position_triple", "position_null", "position_bool"])
+    ('{"name": null, "positions_um": [[0, 0], [8, 0]]}', "'name' must be a string"),
+    ('{"name": 5, "positions_um": [[0, 0], [8, 0]]}', "'name' must be a string"),
+    ('{"name": "x", "positions_um": [[0, 0], [8', "Expecting ',' delimiter"),
+], ids=["number", "positions_number", "position_triple", "position_null", "position_bool",
+        "name_null", "name_number", "cut"])
 def test_instance_file_of_the_wrong_type_exits_1(tmp_path, capsys, text, field):
     path = tmp_path / "bad.json"
     path.write_text(text)
     out = tmp_path / "run"
     assert main(["pipeline", "--instance", str(path), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
+    assert err.count("error:") == 1 and err.startswith(f"error: {path}: ") and field in err
     assert not out.exists()
 
 
@@ -342,7 +350,7 @@ def test_export_ahs_adglb_points_to_design(tmp_path, capsys):
 
 def _bad_schedule(path: Path, defect: str) -> str:
     """A standard-sweep schedule file with one value set to NaN, one number set to
-    a bool, or one shape defect."""
+    a bool, one shape defect, or its text cut short."""
     data = standard_schedule(PhysicalParams.default()).to_json()
     if defect == "omega0":
         data["omega0_over_2pi_MHz"] = float("nan")
@@ -358,6 +366,12 @@ def _bad_schedule(path: Path, defect: str) -> str:
         data["points"] = "abc"
     elif defect == "no_points":
         del data["points"]
+    elif defect == "null_kind":
+        data["kind"] = None
+    elif defect == "cut":
+        text = json.dumps(data)
+        path.write_text(text[:text.index('"points"')])
+        return str(path)
     else:  # a table value of a file without piece coefficients, NaN or missing
         for point in data["points"]:
             point.pop("poly_over_2pi_MHz", None)
@@ -379,15 +393,19 @@ def _bad_schedule(path: Path, defect: str) -> str:
     ("export-ahs", "t_us_bool", "schedule file must hold"),
     ("evolve", "piece_coefficient", "coeffs"),
     ("evolve", "omega0", "omega0"),
-    ("export-ahs", "array", "schedule file must hold"),
+    ("export-ahs", "array", "must be an object"),
     ("export-ahs", "points_string", "schedule file must hold"),
     ("export-ahs", "no_points", "schedule file must hold"),
     ("export-ahs", "no_table_value", "schedule file must hold"),
     ("evolve", "no_table_value", "schedule file must hold"),
+    ("export-ahs", "null_kind", "schedule file must hold"),
+    ("export-ahs", "cut", "bad.json: Expecting"),
+    ("evolve", "cut", "bad.json: Expecting"),
 ], ids=["design_j_nan", "design_j_inf", "export_coefficient", "export_table_value",
         "export_omega0", "export_omega0_bool", "export_t_us_bool", "evolve_coefficient",
         "evolve_omega0", "export_array", "export_points_string", "export_no_points",
-        "export_no_table_value", "evolve_no_table_value"])
+        "export_no_table_value", "evolve_no_table_value", "export_null_kind", "export_cut",
+        "evolve_cut"])
 def test_non_finite_schedule_input_exits_1(tmp_path, capsys, command, defect, field):
     out = tmp_path / "out.json"
     if command == "design":
@@ -495,13 +513,17 @@ def test_config_values_are_read_as_their_field_types(tmp_path, capsys):
     assert err.startswith("error:") and "samples" in err
 
 
-@pytest.mark.parametrize("top", [["instance"], 5], ids=["list", "number"])
-def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
+@pytest.mark.parametrize("text, message", [
+    ('["instance"]', "JSON object"),
+    ("5", "JSON object"),
+    ('{"instance": "Q1D_4", "samples": ', "Expecting value"),
+], ids=["list", "number", "cut"])
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, text, message):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(top))
+    config.write_text(text)
     assert main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "JSON object" in err
+    assert err.startswith(f"error: {config}: ") and message in err
     assert not (tmp_path / "run").exists()
 
 
@@ -520,9 +542,12 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, top):
     ({"method": "adglb", "j_grid": [1.0, 1.0], "n_output": 5, "shots": 20, "samples": 20}, [],
      "j_grid lists two exponents with the run tag _j1"),
     ({"j_grid": [1.0, 1.0000001]}, [], "j_grid lists two exponents with the run tag _j1"),
+    ({"instance": None}, [], "config.json: config field 'instance'"),
+    ({"method": True}, [], "config.json: config field 'method'"),
 ], ids=["shots_flag", "negative_seed", "n_output_config", "negative_j", "few_samples",
         "transfer_nu_d", "unknown_instance", "basis_config", "basis_config_std", "j_grid_std",
-        "j_grid_transfer_flag", "j_grid_same_tag", "j_grid_tag_collision"])
+        "j_grid_transfer_flag", "j_grid_same_tag", "j_grid_tag_collision", "instance_null",
+        "method_bool"])
 def test_pipeline_that_cannot_finish_writes_nothing(tmp_path, capsys, config, flags, field):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"instance": "Q1D_4", **config}))
